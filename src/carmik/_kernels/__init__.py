@@ -3,8 +3,11 @@
 The hot inner loops (sieving, Miller-Rabin sweeps, the census scan,
 arithmetic-progression scans, subset-product search) exist twice: a
 compiled Cython extension and a pure-Python twin with identical semantics.
-The compiled backend is preferred when importable; set CARMIK_PURE=1 to
-force the fallback.  ``benchmarks/bench_kernels.py`` compares the two.
+The twins need not share an algorithm: the pure AP scan reads primality
+from a sieve table, while the compiled one runs Miller-Rabin on every
+progression term.  The compiled backend is preferred when importable; set
+CARMIK_PURE=1 to force the fallback.  ``benchmarks/bench_kernels.py``
+compares the two.
 """
 
 import os

@@ -3,7 +3,7 @@
 Function-for-function twin of the compiled backend in ``_native.pyx``.
 Everything here is exact integer arithmetic and deterministic; the two
 backends must return identical values for identical arguments, which
-``tests/test_kernels.py`` enforces.
+``tests/test_native_parity.py`` enforces.
 
 All arguments are assumed to fit in an unsigned 64-bit word (the wrapper
 layer routes larger operands to big-integer code paths).
@@ -171,6 +171,12 @@ def first_prime_in_ap(modulus, residue, cap):
     return 0, steps
 
 
+# First size of the ap_max_scan prime table, in multiples of the largest
+# modulus.  For each l from 1000 to 1199 the worst class has its least
+# prime below 64 l, and for half of them below 22 l.
+_AP_TABLE_FACTOR = 32
+
+
 def ap_max_scan(l_lo, l_hi, caps):
     """Scan every (l, b) with l in [l_lo, l_hi], gcd(b, l) = 1, 0 < b < l.
 
@@ -178,17 +184,33 @@ def ap_max_scan(l_lo, l_hi, caps):
     (per_l, misses): per_l holds one (l, b_of_max, max_p) triple per l
     (zeros when no class produced a prime), misses lists every (l, b)
     whose progression held no prime up to the cap.
+
+    Each class b, b+l, b+2l, ... is walked through one sieve table, built
+    once per call, instead of testing every term with Miller-Rabin.  The
+    table starts at the smaller of the largest cap and a fixed multiple of
+    l_hi, and doubles, never past the largest cap, only when a walk passes
+    its end below that walk's cap; so a huge cap costs memory only if some
+    least prime really lies that far out.
     """
+    top = max(caps, default=0)
+    limit = max(1, min(top, _AP_TABLE_FACTOR * l_hi))
+    flags = _sieve_bytes(limit)
     per_l = []
     misses = []
     for i, l in enumerate(range(l_lo, l_hi + 1)):
         cap = caps[i]
+        stop = max(cap + 1, 0)  # a negative slice end would count from the top
         best_p = 0
         best_b = 0
         for b in range(1, l):
             if gcd(b, l) != 1:
                 continue
-            p, _ = first_prime_in_ap(l, b, cap)
+            j = flags[b:stop:l].find(1)
+            while j < 0 and cap > limit:
+                limit = min(2 * limit, top)
+                flags = _sieve_bytes(limit)
+                j = flags[b:stop:l].find(1)
+            p = b + j * l if j >= 0 else 0
             if p == 0:
                 misses.append((l, b))
             elif p > best_p:

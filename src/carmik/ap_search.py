@@ -34,6 +34,10 @@ def default_cap(modulus: int) -> int:
     return int(modulus * math.log(modulus) ** 3) + 100
 
 
+def _ratio(p: int, modulus: int, exponent: float) -> float:
+    return p / (modulus * math.log(modulus) ** exponent)
+
+
 @dataclass(frozen=True)
 class ApQuery:
     """A residue class b mod l and a search ceiling."""
@@ -68,8 +72,7 @@ class ApResult:
     ratio_a: dict[float, float] = field(default_factory=dict)
 
     def ratio(self, exponent: float) -> float:
-        l = self.query.modulus
-        return self.p / (l * math.log(l) ** exponent)
+        return _ratio(self.p, self.query.modulus, exponent)
 
 
 def first_prime_in_ap(
@@ -95,10 +98,8 @@ def first_prime_in_ap(
             cap=cap,
             steps=steps,
         )
-    result = ApResult(query=query, p=p, steps=steps)
-    for a in exponents:
-        result.ratio_a[a] = result.ratio(a)
-    return result
+    ratio_a = {a: _ratio(p, modulus, a) for a in exponents}
+    return ApResult(query=query, p=p, steps=steps, ratio_a=ratio_a)
 
 
 @dataclass(frozen=True)
@@ -156,7 +157,7 @@ def heath_brown_scan(
     for l, b, p in raw:
         if p == 0:
             continue
-        per_l.append(ScanRow(l, b, p, p / (l * math.log(l) ** exponent)))
+        per_l.append(ScanRow(l, b, p, _ratio(p, l, exponent)))
     global_max = max(per_l, key=lambda r: r.ratio, default=None)
     consistent = [r for r in per_l if r.modulus >= SMALL_MODULUS_CUTOFF]
     consistent_max = max(consistent, key=lambda r: r.ratio, default=None)
@@ -169,7 +170,7 @@ def heath_brown_scan(
                     continue
                 p, _ = backend.first_prime_in_ap(l, b, caps[i])
                 if p:
-                    collected.append(ScanRow(l, b, p, p / (l * math.log(l) ** exponent)))
+                    collected.append(ScanRow(l, b, p, _ratio(p, l, exponent)))
         rows = tuple(collected)
     return ScanTable(
         exponent=exponent,

@@ -274,6 +274,11 @@ def verify_pairwise_gcd(
     return True, None
 
 
+def _omega_over(d: int, primes: tuple[int, ...]) -> int:
+    """Prime count of a divisor d of prod(primes), all of them prime."""
+    return sum(1 for q in set(primes) if d % q == 0)
+
+
 @dataclass(frozen=True)
 class ConstructionInstance:
     """Everything one harvest produced, with its coprimality ledger."""
@@ -319,14 +324,14 @@ class ConstructionInstance:
         for p, d in self.p1:
             if d * self.k1 * nu + 1 != p or self.l1.value % d != 0:
                 raise InternalConsistencyError(f"{p} does not decompose over L1")
-            if arith.factorize(d).omega != cfg.omega_d:
+            if _omega_over(d, self.q1) != cfg.omega_d:
                 raise InternalConsistencyError(f"divisor {d} has the wrong prime count")
             if (p - 1 - d * nu) % (d * nu * nu) != 0:
                 raise InternalConsistencyError(f"{p} fails its congruence family")
         for p, d in self.p2:
             if d * self.k2 * nu + 1 != p or self.l2.value % d != 0:
                 raise InternalConsistencyError(f"{p} does not decompose over L2")
-            if arith.factorize(d).omega != cfg.omega_d:
+            if _omega_over(d, self.q2) != cfg.omega_d:
                 raise InternalConsistencyError(f"divisor {d} has the wrong prime count")
             if (p - 1 - d * nu) % (d * nu * nu * self.k1) != 0:
                 raise InternalConsistencyError(f"{p} fails its congruence family")

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -81,6 +82,17 @@ class TestScan:
         table = ap_search.heath_brown_scan(2, 200)
         assert table.misses == ()
         assert len(table.per_l) == 199
+
+    def test_huge_cap_allocates_only_what_the_walks_need(self):
+        default = ap_search.heath_brown_scan(3, 60)
+        tracemalloc.start()
+        try:
+            table = ap_search.heath_brown_scan(3, 60, cap=10**12)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.per_l == default.per_l and table.misses == ()
+        assert peak < 2**20  # a table sized to the cap would need 10**12 bytes
 
     def test_collected_rows_cover_all_classes(self):
         table = ap_search.heath_brown_scan(10, 12, collect_rows=True)

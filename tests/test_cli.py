@@ -1,6 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import carmik
 from carmik import cli
 
 NU2_CONFIG = """z = 74
@@ -59,6 +66,16 @@ class TestApScan:
             rows = list(csv.reader(fh))
         assert rows[0] == ["l", "b", "p", "ratio"]
         assert len(rows) == 20  # one worst-case row per modulus
+
+    @pytest.mark.parametrize("module", ["carmik", "carmik.cli"])
+    def test_module_entry_points(self, module):
+        src = str(Path(carmik.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", module, "ap-scan", "--lmin", "4", "--lmax", "4"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "global max ratio 0.6504 at l=4, b=1" in done.stdout
 
 
 class TestDavenport:

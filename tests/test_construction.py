@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -227,6 +228,24 @@ class TestInstance:
         assert broken != text
         with pytest.raises(InternalConsistencyError):
             cons.ConstructionInstance.parse(broken)
+
+    def test_divisor_prime_count_is_read_from_Q(self, monkeypatch):
+        instance = harvested_instance()
+        calls = []
+        factorize = arith.factorize
+        monkeypatch.setattr(
+            arith, "factorize", lambda n, *a, **kw: calls.append(n) or factorize(n, *a, **kw)
+        )
+        instance.verify()
+        # One factorization per Q cofactor g; none for the family divisors d.
+        assert len(calls) == len(instance.q1) + len(instance.q2)
+        d = instance.q1[0] * instance.q1[1]  # two primes where omega_d = 1
+        forged = (d * instance.k1 * instance.config.nu + 1, d)
+        tampered = dataclasses.replace(instance, p1=(forged,) + instance.p1[1:])
+        calls.clear()
+        with pytest.raises(InternalConsistencyError, match="wrong prime count"):
+            tampered.verify()
+        assert d not in calls
 
     def test_unknown_format_rejected(self):
         with pytest.raises(DomainError):

@@ -1,117 +1,78 @@
-"""Backend parity: the compiled kernels must match the pure twins bit for bit."""
+"""Pure kernels against references assembled from simpler pure kernels.
+
+These run on every machine; ``test_native_parity.py`` compares the
+compiled backend with the pure one where the extension is built.
+"""
 
 import math
-import random
 
-import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from carmik._kernels import pure
-
-native = pytest.importorskip("carmik._kernels._native")
-
-CARMICHAELS = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265]
-EDGE_VALUES = [0, 1, 2, 3, 4, 5, 16, 561, 647, 2**31 - 1, 2**32 + 15, 2**61 - 1]
+from carmik.ap_search import default_cap
 
 
-def test_is_prime_parity():
-    rng = random.Random(1)
-    values = EDGE_VALUES + CARMICHAELS + [rng.randrange(2**62) for _ in range(2000)]
-    for n in values:
-        assert native.is_prime_u64(n) == pure.is_prime_u64(n), n
+def reference_ap_max_scan(l_lo, l_hi, caps):
+    """ap_max_scan class by class from first_prime_in_ap, ties to the smallest b."""
+    per_l = []
+    misses = []
+    for l, cap in zip(range(l_lo, l_hi + 1), caps):
+        best_b = best_p = 0
+        for b in range(1, l):
+            if math.gcd(b, l) != 1:
+                continue
+            p, _ = pure.first_prime_in_ap(l, b, cap)
+            if p == 0:
+                misses.append((l, b))
+            elif p > best_p:
+                best_b, best_p = b, p
+        per_l.append((l, best_b, best_p))
+    return per_l, misses
 
 
-def test_primes_in_range_parity():
-    cases = [(0, 100), (2, 2), (24, 28), (10, 20), (9999, 10500), (10**12, 10**12 + 1000)]
-    for lo, hi in cases:
-        assert native.primes_in_range(lo, hi) == pure.primes_in_range(lo, hi)
+@st.composite
+def scan_args(draw):
+    l_lo = draw(st.integers(2, 350))
+    l_hi = draw(st.integers(l_lo, l_lo + 3))
+    # Caps below some residues, caps that leave classes without a prime,
+    # and caps wide enough for every class.
+    cap = st.one_of(
+        st.integers(-2, 2 * l_hi),
+        st.integers(0, 80 * l_hi),
+        st.just(default_cap(l_hi)),
+    )
+    caps = draw(st.lists(cap, min_size=l_hi - l_lo + 1, max_size=l_hi - l_lo + 1))
+    return l_lo, l_hi, caps
 
 
-def test_spf_parity():
-    assert native.smallest_prime_factors(1000) == pure.smallest_prime_factors(1000)
+@settings(deadline=None)
+@given(scan_args())
+# l = 283 and l = 337 have a least prime past 32 * l, the table's first size.
+@example((283, 283, [default_cap(283)]))
+@example((335, 338, [default_cap(l) for l in range(335, 339)]))
+@example((3, 60, [10**12] * 58))
+@example((2, 30, [0] * 29))
+@example((2, 30, [-2] * 29))
+def test_ap_max_scan_matches_class_by_class_reference(args):
+    assert pure.ap_max_scan(*args) == reference_ap_max_scan(*args)
 
 
-def test_census_parity():
-    assert native.carmichael_census(100_000) == pure.carmichael_census(100_000)
-    assert native.carmichael_census(2) == pure.carmichael_census(2) == []
+def test_ap_max_scan_table_grows_past_first_size(monkeypatch):
+    sizes = []
+    sieve = pure._sieve_bytes
 
+    def recording_sieve(limit):
+        sizes.append(limit)
+        return sieve(limit)
 
-def test_fermat_all_bases_parity():
-    for n in list(range(1, 80)) + [561, 1105, 563]:
-        assert native.fermat_all_bases(n) == pure.fermat_all_bases(n), n
-
-
-def test_unit_sweep_parity():
-    rng = random.Random(2)
-    for _ in range(300):
-        n = rng.randrange(2, 500)
-        e = rng.randrange(1, 200)
-        assert native.all_units_pow_one(n, e) == pure.all_units_pow_one(n, e)
-        assert native.first_unit_failing(n, e) == pure.first_unit_failing(n, e)
-
-
-def test_count_coprime_parity():
-    for n in range(1, 300):
-        assert native.count_coprime(n) == pure.count_coprime(n)
-
-
-def test_first_prime_in_ap_parity():
-    rng = random.Random(3)
-    cases = [(4, 1, 1000), (2, 1, 1000), (25, 24, 30)]
-    while len(cases) < 200:
-        l = rng.randrange(2, 500)
-        b = rng.randrange(1, l)
-        if math.gcd(b, l) == 1:
-            cases.append((l, b, l * 50 + 100))
-    for l, b, cap in cases:
-        assert native.first_prime_in_ap(l, b, cap) == pure.first_prime_in_ap(l, b, cap)
-
-
-def test_ap_max_scan_parity():
-    caps = [int(l * math.log(l) ** 3) + 100 for l in range(2, 60)]
-    assert native.ap_max_scan(2, 59, caps) == pure.ap_max_scan(2, 59, caps)
-
-
-def test_brent_parity():
-    rng = random.Random(4)
-    for _ in range(50):
-        p = _prime(rng, 2**20, 2**26)
-        q = _prime(rng, 2**20, 2**26)
-        n = p * q
-        assert native.brent_factor(n) == pure.brent_factor(n), n
-    assert native.brent_factor(3**10) == pure.brent_factor(3**10)
-
-
-def _prime(rng, lo, hi):
-    while True:
-        c = rng.randrange(lo | 1, hi, 2)
-        if pure.is_prime_u64(c):
-            return c
-
-
-def test_prefix_run_witness_parity():
-    rng = random.Random(5)
-    for _ in range(500):
-        m = rng.randrange(2, 500)
-        units = [a for a in range(1, m) if math.gcd(a, m) == 1]
-        elems = [rng.choice(units) for _ in range(rng.randrange(0, 20))]
-        assert native.prefix_run_witness(elems, m) == pure.prefix_run_witness(elems, m)
-
-
-def test_subset_search_parity():
-    rng = random.Random(6)
-    for _ in range(400):
-        m = rng.randrange(2, 2000)
-        units = [a for a in range(1, m) if math.gcd(a, m) == 1]
-        elems = [rng.choice(units) for _ in range(rng.randrange(0, 15))]
-        for cap in (0, 4):
-            got_n = native.subset_witness_exhaustive(elems, m, cap)
-            got_p = pure.subset_witness_exhaustive(elems, m, cap)
-            assert got_n == got_p, (m, elems, cap)
-            got_n = native.subset_witness_mitm(elems, m, cap)
-            got_p = pure.subset_witness_mitm(elems, m, cap)
-            assert got_n == got_p, (m, elems, cap)
-
-
-def test_backend_names():
-    assert pure.BACKEND_NAME == "pure"
-    assert native.BACKEND_NAME == "native"
+    monkeypatch.setattr(pure, "_sieve_bytes", recording_sieve)
+    caps = [default_cap(337)]
+    (row,), misses = pure.ap_max_scan(337, 337, caps)
+    assert row == (337, 284, 17471) and not misses
+    # The worst least prime, 17471, lies between 32 * 337 and 64 * 337.
+    assert sizes == [32 * 337, 64 * 337]
+    sizes.clear()
+    got = pure.ap_max_scan(337, 337, [15_000])
+    assert sizes == [32 * 337, 15_000]  # never past the largest cap
+    assert (337, 284) in got[1] and got == reference_ap_max_scan(337, 337, [15_000])
