@@ -5,8 +5,10 @@ Everything here is exact integer arithmetic and deterministic; the two
 backends must return identical values for identical arguments, which
 ``tests/test_native_parity.py`` enforces.
 
-All arguments are assumed to fit in an unsigned 64-bit word (the wrapper
-layer routes larger operands to big-integer code paths).
+Arguments fit in an unsigned 64-bit word, except where ``carmik.arith``
+hands this module larger operands: ``is_prime_u64`` with its own base set
+and ``_brent_round`` with a step budget, both of which are exact Python
+integer arithmetic at any size.
 """
 
 from math import gcd, isqrt
@@ -23,11 +25,15 @@ NO_WITNESS = 1
 BUDGET_EXCEEDED = 2
 
 
-def is_prime_u64(n):
-    """Exact primality for 0 <= n < 2**64."""
+def is_prime_u64(n, bases=_MR_BASES):
+    """Exact primality for 0 <= n < 2**64 with the default bases.
+
+    With another base set, whether n is a strong probable prime to each of
+    those bases; n equal to a base counts as prime, n divisible by one not.
+    """
     if n < 2:
         return False
-    for p in _MR_BASES:
+    for p in bases:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -35,7 +41,7 @@ def is_prime_u64(n):
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -236,11 +242,17 @@ def brent_factor(n):
         c += 1
 
 
-def _brent_round(n, c):
+def _brent_round(n, c, budget=0):
+    """One cycle search with offset c: a factor of n, or 0 if it closed on n.
+
+    With budget > 0 it returns None once the steps of its doublings sum past
+    budget, checked after each doubling, even one that found a factor.
+    """
     y, r, q = 2, 1, 1
     g = 1
     m = 128
     x = ys = y
+    steps = 0
     while g == 1:
         x = y
         for _ in range(r):
@@ -253,6 +265,9 @@ def _brent_round(n, c):
                 q = q * (x - y if x > y else y - x) % n
             g = gcd(q, n)
             k += m
+        steps += r
+        if budget and steps > budget:
+            return None
         r *= 2
     if g == n:
         g = 1

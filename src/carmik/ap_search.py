@@ -125,7 +125,6 @@ class ScanTable:
     misses: tuple[tuple[int, int], ...]
     global_max: ScanRow | None
     consistent_max: ScanRow | None
-    rows: tuple[ScanRow, ...] = ()
 
     def csv_rows(self):
         yield ("l", "b", "p", "ratio")
@@ -138,14 +137,11 @@ def heath_brown_scan(
     l_max: int,
     exponent: float = 2.0,
     cap: int | None = None,
-    collect_rows: bool = False,
 ) -> ScanTable:
     """Least-prime ratios p / (l (ln l)**A) for every l in [l_min, l_max].
 
     Every residue class b coprime to l is searched up to ``cap`` (default:
     default_cap(l) per modulus).  An empty range yields an empty table.
-    With collect_rows=True each (l, b) row is retained, not just per-l
-    worst cases; only sensible for small ranges.
     """
     if l_min < 2:
         raise DomainError("moduli start at 2")
@@ -161,22 +157,10 @@ def heath_brown_scan(
     global_max = max(per_l, key=lambda r: r.ratio, default=None)
     consistent = [r for r in per_l if r.modulus >= SMALL_MODULUS_CUTOFF]
     consistent_max = max(consistent, key=lambda r: r.ratio, default=None)
-    rows: tuple[ScanRow, ...] = ()
-    if collect_rows:
-        collected = []
-        for i, l in enumerate(range(l_min, l_max + 1)):
-            for b in range(1, l):
-                if math.gcd(b, l) != 1:
-                    continue
-                p, _ = backend.first_prime_in_ap(l, b, caps[i])
-                if p:
-                    collected.append(ScanRow(l, b, p, _ratio(p, l, exponent)))
-        rows = tuple(collected)
     return ScanTable(
         exponent=exponent,
         per_l=tuple(per_l),
         misses=tuple(tuple(x) for x in raw_misses),
         global_max=global_max,
         consistent_max=consistent_max,
-        rows=rows,
     )

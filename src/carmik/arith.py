@@ -4,16 +4,19 @@ Primality policy
 ----------------
 Below ``KERNEL_BOUND`` (2**63) primality is decided exactly by the kernel
 backend's deterministic Miller-Rabin witness set.  At or above the bound,
-``is_prime`` runs Miller-Rabin with the fixed, documented base set
-``LARGE_BASES`` (the first 25 primes): a probable-prime method, but a
-reproducible one, and the range this package actually exercises is
-cross-checked exactly by the test suite.  ``exhaustive=True`` forces trial
-division instead, for independent verification at small sizes.
+``is_prime`` runs the pure kernel's Miller-Rabin, ``pure.is_prime_u64``,
+with the fixed, documented base set ``LARGE_BASES`` (the first 25 primes):
+a probable-prime method, but a reproducible one, and the range this package
+actually exercises is cross-checked exactly by the test suite.
+``exhaustive=True`` forces trial division instead, for independent
+verification at small sizes.
 
 Factorization is trial division over a cached small-prime list followed by
-Brent's cycle method, recursing on cofactors.  Work is bounded by a digit
-cap and an iteration budget; exceeding either raises
-``FactorizationEffortError`` rather than ever returning a wrong answer.
+Brent's cycle method, recursing on cofactors: the backend's ``brent_factor``
+below the bound, the pure kernel's ``_brent_round`` over offsets 1..63 at
+or above it.  Work is bounded by a digit cap and a per-offset step budget;
+exceeding either raises ``FactorizationEffortError`` rather than ever
+returning a wrong answer.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from ._kernels import backend
+from ._kernels import backend, pure
 from .errors import DomainError, EmptyRangeError, FactorizationEffortError
 
 KERNEL_BOUND = 2**63
@@ -35,6 +38,9 @@ LARGE_BASES = (
 
 #: Default digit cap for factorization effort.
 DEFAULT_FACTOR_DIGITS = 64
+
+#: Brent step budget per polynomial offset for operands >= KERNEL_BOUND.
+_BRENT_BUDGET = 2_000_000
 
 _TRIAL_LIMIT = 20_000
 _trial_primes: list[int] | None = None
@@ -112,29 +118,7 @@ def is_prime(n: int, *, exhaustive: bool = False) -> bool:
         return True
     if n < KERNEL_BOUND:
         return backend.is_prime_u64(n)
-    return _miller_rabin_large(n)
-
-
-def _miller_rabin_large(n: int) -> bool:
-    for p in LARGE_BASES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in LARGE_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    return pure.is_prime_u64(n, LARGE_BASES)
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:
@@ -194,47 +178,17 @@ def _factor_hard(m: int, factors: dict[int, int]) -> None:
         if v < KERNEL_BOUND:
             d = backend.brent_factor(v)
         else:
-            d = _brent_big(v)
+            for c in range(1, 64):
+                d = pure._brent_round(v, c, _BRENT_BUDGET)
+                if d is None:
+                    raise FactorizationEffortError(
+                        f"rho budget exhausted while splitting a {len(str(v))}-digit composite"
+                    )
+                if d:
+                    break
+            else:
+                raise FactorizationEffortError("rho failed to split after 63 polynomial offsets")
         stack.extend((d, v // d))
-
-
-_BRENT_BIG_BUDGET = 2_000_000
-
-
-def _brent_big(n: int) -> int:
-    """Brent's cycle method for odd composite n above the kernel bound."""
-    for c in range(1, 64):
-        y, r, q = 2, 1, 1
-        g = 1
-        x = ys = y
-        steps = 0
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(128, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += 128
-            steps += r
-            if steps > _BRENT_BIG_BUDGET:
-                raise FactorizationEffortError(
-                    f"rho budget exhausted while splitting a {len(str(n))}-digit composite"
-                )
-            r *= 2
-        if g == n:
-            g = 1
-            y = ys
-            while g == 1:
-                y = (y * y + c) % n
-                g = math.gcd(abs(x - y), n)
-        if g != n:
-            return g
-    raise FactorizationEffortError("rho failed to split after 63 polynomial offsets")
 
 
 def carmichael_lambda(n: int | FactoredInteger) -> int:

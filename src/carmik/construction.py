@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from . import arith, zerosum
+from . import arith
 from .errors import (
     ConfigError,
     DomainError,
@@ -31,7 +31,6 @@ __all__ = [
     "RBucket",
     "RMap",
     "ConstructionInstance",
-    "BoundReport",
     "build_J",
     "enumerate_g",
     "populate_R",
@@ -40,7 +39,7 @@ __all__ = [
     "squarefree_product",
     "search_P",
     "verify_pairwise_gcd",
-    "bound_diagnostics",
+    "zero_sum_modulus",
 ]
 
 
@@ -407,9 +406,12 @@ class ConstructionInstance:
                     out.append((int(p), int(d)))
             return tuple(out)
 
+        j_product = build_J(cfg.z)
+        if int(fields["J"]) != j_product.value:
+            raise DomainError(f"J is not the window product for z = {cfg.z}")
         instance = cls(
             config=cfg,
-            j_product=arith.factorize(int(fields["J"])),
+            j_product=j_product,
             j0=int(fields["j0"]),
             q1=q1,
             q2=q2,
@@ -424,79 +426,10 @@ class ConstructionInstance:
         return instance
 
 
-@dataclass(frozen=True)
-class DiagRow:
-    """One asymptotic-inequality row, compared in natural-log space."""
-
-    name: str
-    lhs_log: float
-    rhs_log: float
-
-    @property
-    def holds(self) -> bool:
-        return self.lhs_log <= self.rhs_log
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Numeric snapshot of the size bounds at this instance's parameters.
-
-    The inequality rows are informational (the bounds assume z large); the
-    divisibility of lcm(q - 1) into J * j0 is exact and is asserted in
-    bound_diagnostics, not merely reported.
-    """
-
-    rows: tuple[DiagRow, ...]
-    lambda_l1l2: int
-    divides: bool
-
-    def describe(self) -> str:
-        out = []
-        for r in self.rows:
-            mark = "ok " if r.holds else "off"
-            out.append(f"[{mark}] {r.name}: ln(lhs)={r.lhs_log:.3f} ln(rhs)={r.rhs_log:.3f}")
-        out.append(f"[ok ] exponent of units mod L1*L2 divides J*j0 (lambda={self.lambda_l1l2})")
-        return "\n".join(out)
-
-
-def bound_diagnostics(instance: ConstructionInstance) -> BoundReport:
-    """Evaluate the size-bound ledger at this instance's parameters.
-
-    Informational rows compare, in log space, each family's asymptotic
-    bound against the harvested values.  The one exact statement, that the
-    unit-group exponent mod L1*L2 divides J*j0, is asserted.
-    """
-    if not instance.p1 or not instance.p2:
-        raise DomainError("diagnostics need a complete instance")
-    cfg = instance.config
-    z = cfg.z
-    a2 = 2 * cfg.exponent_a
-    lz = math.log(z)
-    llz = math.log(lz)
-    qs = instance.q1 + instance.q2
-    rows = [
-        DiagRow("q lower bound", lz * math.log(z / 6), math.log(min(qs))),
-        DiagRow("q upper bound", math.log(max(qs)), math.log(2) + lz * lz + a2 * llz),
-        DiagRow(
-            "L size",
-            math.log(max(instance.l1.value, instance.l2.value)),
-            math.exp((lz - 2 * llz) * lz) * (lz * lz + a2 * llz),
-        ),
-    ]
-    lam = arith.lcm_all([q - 1 for q in qs])
-    rows.append(DiagRow("unit exponent", math.log(lam), 0.8 * z))
-    m_parts: dict[int, int] = {q: 1 for q in qs}
-    for k in (instance.k1, instance.k2):
+def zero_sum_modulus(instance: ConstructionInstance) -> arith.FactoredInteger:
+    """M = L1*L2*k1*k2*nu, factored: the modulus of both zero-sum searches."""
+    parts: dict[int, int] = {q: 1 for q in instance.q1 + instance.q2}
+    for k in (instance.k1, instance.k2, instance.config.nu):
         for p, e in arith.factorize(k).factors:
-            m_parts[p] = m_parts.get(p, 0) + e
-    rows.append(
-        DiagRow(
-            "zero-sum threshold",
-            zerosum.davenport_upper_bound_log(arith.FactoredInteger.from_factor_map(m_parts)),
-            float(z),
-        )
-    )
-    divides = (instance.j_product.value * instance.j0) % lam == 0
-    if not divides:
-        raise InternalConsistencyError("exponent of units mod L1*L2 must divide J*j0")
-    return BoundReport(rows=tuple(rows), lambda_l1l2=lam, divides=divides)
+            parts[p] = parts.get(p, 0) + e
+    return arith.FactoredInteger.from_factor_map(parts)

@@ -31,6 +31,7 @@ from .construction import (
     split_Q,
     verify_pairwise_gcd,
     squarefree_product,
+    zero_sum_modulus,
 )
 from .errors import (
     ConfigError,
@@ -61,16 +62,14 @@ class RunConfig:
     len_max: int = 0  # 0 means |P_i|
     witness_cap: int = 8
     node_cap: int = 2_000_000
-    state_cap: int = 1_000_000
-    table_cap: int = 1_048_576
     target_count: int = 1
     force_zero_sum: bool = False
     fermat_bases: int = 200
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.len_min, self.witness_cap, self.node_cap, self.state_cap,
-               self.table_cap, self.target_count, self.fermat_bases) < 1:
+        if min(self.len_min, self.witness_cap, self.node_cap, self.target_count,
+               self.fermat_bases) < 1:
             raise ConfigError("every cap must be positive")
         if self.len_max < 0 or self.seed < 0:
             raise ConfigError("len_max and seed must be >= 0")
@@ -94,8 +93,6 @@ _RUN_KEYS = {
     "len_max": int,
     "witness_cap": int,
     "node_cap": int,
-    "state_cap": int,
-    "table_cap": int,
     "target_count": int,
     "force_zero_sum": lambda s: s.lower() in ("1", "true", "yes"),
     "fermat_bases": int,
@@ -148,8 +145,6 @@ class CarmichaelBatch:
     """One run's harvest, witnesses, and certified outputs."""
 
     instance: ConstructionInstance
-    n1_witness: zerosum.ZeroSumWitness
-    n2_witness: zerosum.ZeroSumWitness
     pairs: tuple[tuple[zerosum.ZeroSumWitness, zerosum.ZeroSumWitness], ...]
     certificates: tuple[korselt.CarmichaelCertificate, ...]
     timings: dict[str, float] = field(default_factory=dict)
@@ -225,12 +220,10 @@ def harvest_instance(cc: ConstructionConfig, timings: dict[str, float] | None = 
     return instance
 
 
-def _family_witnesses(instance: ConstructionInstance, rc: RunConfig, which: int):
+def _family_witnesses(family, modulus: arith.FactoredInteger, rc: RunConfig, which: int):
     """Product-one subsets of one family mod M, or a stage error."""
-    cc = instance.config
-    family = instance.p1 if which == 1 else instance.p2
-    m_value = instance.l1.value * instance.l2.value * instance.k1 * instance.k2 * cc.nu
-    bound_log = _modulus_bound_log(instance)
+    m_value = modulus.value
+    bound_log = zerosum.davenport_upper_bound_log(modulus)
     # Guard: below the guaranteed-witness threshold the search may honestly
     # come up empty; the error then reports both sides of the comparison.
     threshold_known = bound_log < math.log(2**62)
@@ -275,14 +268,6 @@ def _family_witnesses(instance: ConstructionInstance, rc: RunConfig, which: int)
     return witnesses
 
 
-def _modulus_bound_log(instance: ConstructionInstance) -> float:
-    parts: dict[int, int] = {q: 1 for q in instance.q1 + instance.q2}
-    for k in (instance.k1, instance.k2, instance.config.nu):
-        for p, e in arith.factorize(k).factors:
-            parts[p] = parts.get(p, 0) + e
-    return zerosum.davenport_upper_bound_log(arith.FactoredInteger.from_factor_map(parts))
-
-
 def complete_batch(
     instance: ConstructionInstance,
     rc: RunConfig,
@@ -300,8 +285,9 @@ def complete_batch(
             t = now
 
     cc = instance.config
-    w1s = _family_witnesses(instance, rc, 1)
-    w2s = _family_witnesses(instance, rc, 2)
+    modulus = zero_sum_modulus(instance)
+    w1s = _family_witnesses(instance.p1, modulus, rc, 1)
+    w2s = _family_witnesses(instance.p2, modulus, rc, 2)
     lap("zero_sum")
 
     p1_primes = [p for p, _ in instance.p1]
@@ -339,8 +325,6 @@ def complete_batch(
         )
     return CarmichaelBatch(
         instance=instance,
-        n1_witness=pairs[0][0],
-        n2_witness=pairs[0][1],
         pairs=tuple(pairs),
         certificates=tuple(certificates),
         timings=dict(timings or {}),

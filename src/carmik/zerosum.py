@@ -166,10 +166,17 @@ def _pohlig_hellman(base: int, target: int, order: int, mod: int) -> int:
 
 
 def discrete_log_vector(structure: UnitGroupStructure, x: int) -> tuple[int, ...]:
-    """Exponent vector of unit x over the structure's components."""
+    """Exponent vector of unit x over the structure's components.
+
+    An odd block's local generator is its lifted generator mod p**e, read
+    from the structure rather than searched for again.
+    """
     fi = structure.modulus
     if math.gcd(x, fi.value) != 1:
         raise DomainError(f"{x} is not a unit mod {fi.value}")
+    # Components follow the ascending prime powers: none for 2, one for 4,
+    # two for 2**e with e >= 3, one for each odd block.
+    components = iter(structure.components)
     coords: list[int] = []
     for p, e in fi.factors:
         q = p**e
@@ -178,16 +185,18 @@ def discrete_log_vector(structure: UnitGroupStructure, x: int) -> tuple[int, ...
             if e == 1:
                 continue
             if e == 2:
+                next(components)
                 coords.append(0 if y == 1 else 1)
             else:
+                next(components), next(components)
                 # y == (-1)**a * 5**b over Z/2**e; a is read off mod 4.
                 a = 0 if y % 4 == 1 else 1
                 z = y if a == 0 else (q - y) % q
                 coords.append(a)
                 coords.append(_pohlig_hellman(5, z, 2 ** (e - 2), q))
         else:
-            (_, gen, order), = _local_blocks(arith.FactoredInteger(q, ((p, e),)))
-            coords.append(_pohlig_hellman(gen, y, order, q))
+            gen, order = next(components)
+            coords.append(_pohlig_hellman(gen % q, y, order, q))
     return tuple(coords)
 
 

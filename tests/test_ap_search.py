@@ -93,19 +93,3 @@ class TestScan:
             tracemalloc.stop()
         assert table.per_l == default.per_l and table.misses == ()
         assert peak < 2**20  # a table sized to the cap would need 10**12 bytes
-
-    def test_collected_rows_cover_all_classes(self):
-        table = ap_search.heath_brown_scan(10, 12, collect_rows=True)
-        classes = {(r.modulus, r.residue) for r in table.rows}
-        expected = {
-            (l, b)
-            for l in (10, 11, 12)
-            for b in range(1, l)
-            if math.gcd(b, l) == 1
-        }
-        assert classes == expected
-
-    def test_rows_ordered_by_modulus_then_residue(self):
-        table = ap_search.heath_brown_scan(10, 14, collect_rows=True)
-        keys = [(r.modulus, r.residue) for r in table.rows]
-        assert keys == sorted(keys)

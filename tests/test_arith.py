@@ -2,6 +2,9 @@ import math
 import random
 
 import pytest
+import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from carmik import arith
 from carmik._kernels import backend
@@ -17,6 +20,12 @@ def trial_division_is_prime(n):
             return False
         f += 1
     return True
+
+
+U64_HIGH = st.integers(2**63, 2**64 - 1)
+ABOVE_U64 = st.integers(2**64, 2**96)
+# Squares and products of two of these run from 2**63 to just past 2**66.
+NEAR_2_32 = st.integers(3_037_000_500, 2**33)
 
 
 class TestIsPrime:
@@ -42,6 +51,25 @@ class TestIsPrime:
         # Composites that fool single-base Fermat tests.
         for n in (2047, 1373653, 25326001, 3215031751, 3825123056546413051):
             assert not arith.is_prime(n), n
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        st.one_of(
+            U64_HIGH,
+            U64_HIGH.map(sympy.nextprime),
+            NEAR_2_32.map(lambda a: sympy.nextprime(a) ** 2),
+            st.tuples(NEAR_2_32, NEAR_2_32).map(
+                lambda t: sympy.nextprime(t[0]) * sympy.nextprime(t[1])
+            ),
+            ABOVE_U64,
+            ABOVE_U64.map(sympy.nextprime),
+        )
+    )
+    # Strong pseudoprimes to the 12 bases that are exact below 2**64.
+    @example(318665857834031151167461)
+    @example(3317044064679887385961981)
+    def test_large_operands_agree_with_sympy(self, n):
+        assert arith.is_prime(n) == sympy.isprime(n)
 
 
 class TestPrimesInRange:
@@ -102,6 +130,13 @@ class TestFactorize:
     def test_effort_cap(self):
         with pytest.raises(FactorizationEffortError):
             arith.factorize(10**70 + 1, effort_digits=40)
+
+    def test_rho_budget_above_the_kernel_bound(self, monkeypatch):
+        n = 4294967291 * 4294967279  # two primes below 2**32; n >= 2**63
+        assert n >= arith.KERNEL_BOUND
+        monkeypatch.setattr(arith, "_BRENT_BUDGET", 100)
+        with pytest.raises(FactorizationEffortError, match="rho budget exhausted"):
+            arith.factorize(n)
 
     def test_prime_powers(self):
         assert arith.factorize(3**12).factors == ((3, 12),)

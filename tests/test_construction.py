@@ -201,11 +201,11 @@ class TestVerifyPairwiseGcd:
             cons.verify_pairwise_gcd((), ((13, 1),), 2)
 
 
-def harvested_instance():
+def harvested_instance(z=74, nu=2, q_subset_size=2):
     from carmik import pipeline
 
     cfg = cons.ConstructionConfig(
-        z=74, nu=2, omega_g=1, omega_d=1, j_cap=40, k_cap=4000, q_subset_size=2
+        z=z, nu=nu, omega_g=1, omega_d=1, j_cap=40, k_cap=4000, q_subset_size=q_subset_size
     )
     return pipeline.harvest_instance(cfg)
 
@@ -215,11 +215,12 @@ class TestInstance:
         harvested_instance().verify()
 
     def test_serialize_roundtrip(self):
-        instance = harvested_instance()
-        text = instance.serialize()
-        again = cons.ConstructionInstance.parse(text)
-        assert again == instance
-        assert again.serialize() == text
+        # z = 400 has an 80-digit J, past the factorization effort cap.
+        for instance in (harvested_instance(), harvested_instance(z=400, nu=6, q_subset_size=4)):
+            text = instance.serialize()
+            again = cons.ConstructionInstance.parse(text)
+            assert again == instance
+            assert again.serialize() == text
 
     def test_tampered_document_is_rejected(self):
         instance = harvested_instance()
@@ -228,6 +229,18 @@ class TestInstance:
         assert broken != text
         with pytest.raises(InternalConsistencyError):
             cons.ConstructionInstance.parse(broken)
+        broken = text.replace(f"J = {instance.j_product.value}", f"J = {instance.j_product.value * 2}")
+        with pytest.raises(DomainError, match="window product"):
+            cons.ConstructionInstance.parse(broken)
+
+    def test_lambda_must_divide_J_times_j0(self):
+        instance = harvested_instance()
+        g = (instance.q1[0] - 1) // instance.j0
+        (r,) = arith.factorize(g).primes  # omega_g = 1
+        short_j = factored(*(p for p in instance.j_product.primes if p != r))
+        tampered = dataclasses.replace(instance, j_product=short_j)
+        with pytest.raises(InternalConsistencyError, match=r"lambda\(L1\*L2\) does not divide J\*j0"):
+            tampered.verify()
 
     def test_divisor_prime_count_is_read_from_Q(self, monkeypatch):
         instance = harvested_instance()
@@ -250,34 +263,6 @@ class TestInstance:
     def test_unknown_format_rejected(self):
         with pytest.raises(DomainError):
             cons.ConstructionInstance.parse("format = something-else\n")
-
-
-class TestBoundDiagnostics:
-    def test_divisibility_asserted_and_rows_present(self):
-        report = cons.bound_diagnostics(harvested_instance())
-        assert report.divides
-        names = [row.name for row in report.rows]
-        assert "q lower bound" in names
-        assert "zero-sum threshold" in names
-        assert "exponent" in report.describe()
-
-    def test_incomplete_instance_rejected(self):
-        instance = harvested_instance()
-        hollow = cons.ConstructionInstance(
-            config=instance.config,
-            j_product=instance.j_product,
-            j0=instance.j0,
-            q1=instance.q1,
-            q2=instance.q2,
-            l1=instance.l1,
-            l2=instance.l2,
-            k1=instance.k1,
-            k2=instance.k2,
-            p1=(),
-            p2=(),
-        )
-        with pytest.raises(DomainError):
-            cons.bound_diagnostics(hollow)
 
 
 class TestCombinatorialIdentity:

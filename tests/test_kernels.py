@@ -5,12 +5,22 @@ compiled backend with the pure one where the extension is built.
 """
 
 import math
+import re
+from pathlib import Path
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from carmik._kernels import pure
 from carmik.ap_search import default_cap
+
+
+def test_pure_defines_every_compiled_kernel():
+    # Checked from the Cython source, so it holds where the extension is not built.
+    source = (Path(pure.__file__).parent / "_native.pyx").read_text()
+    names = re.findall(r"^def (\w+)\(", source, flags=re.MULTILINE)
+    assert "is_prime_u64" in names  # the pattern finds the kernels
+    assert [n for n in names if not callable(getattr(pure, n, None))] == []
 
 
 def reference_ap_max_scan(l_lo, l_hi, caps):

@@ -137,8 +137,6 @@ class TestBatchRecords:
         cert = korselt.is_carmichael(561)
         batch = pipeline.CarmichaelBatch(
             instance=instance,
-            n1_witness=w,
-            n2_witness=w,
             pairs=((w, w),),
             certificates=(cert,),
             timings={"certify": 0.1},
