@@ -40,11 +40,14 @@ def workloads():
     units105 = [a for a in range(1, 105) if math.gcd(a, 105) == 1]
     stress = [[rng.choice(units105) for _ in range(29)] for _ in range(200)]
     mr_values = [rng.randrange(2**62) for _ in range(20_000)]
+    # The sizes the construction harvest tests: q = g*j + 1 and p = d*k*nu + 1.
+    mr_harvest = [rng.randrange(2**34, 2**52) for _ in range(20_000)]
     ap_caps = [int(l * math.log(l) ** 3) + 100 for l in range(2, 501)]
 
     yield "census to 1e6", lambda b: b.carmichael_census(1_000_000)
     yield "sieve [1e12, 1e12+1e6]", lambda b: b.primes_in_range(10**12, 10**12 + 10**6)
     yield "miller-rabin x 20k", lambda b: [b.is_prime_u64(n) for n in mr_values]
+    yield "miller-rabin x 20k, 2^34..2^52", lambda b: [b.is_prime_u64(n) for n in mr_harvest]
     yield "fermat all bases n=4999", lambda b: b.fermat_all_bases(4999)
     yield "unit sweep n=9973", lambda b: b.all_units_pow_one(9973, 9972)
     yield "ap scan l <= 500", lambda b: b.ap_max_scan(2, 500, ap_caps)

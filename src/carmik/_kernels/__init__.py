@@ -3,11 +3,13 @@
 The hot inner loops (sieving, Miller-Rabin sweeps, the census scan,
 arithmetic-progression scans, subset-product search) exist twice: a
 compiled Cython extension and a pure-Python twin with identical semantics.
-The twins need not share an algorithm: the pure AP scan reads primality
+The twins share values, not algorithms: the pure AP scan reads primality
 from a sieve table, while the compiled one runs Miller-Rabin on every
-progression term.  The compiled backend is preferred when importable; set
-CARMIK_PURE=1 to force the fallback.  ``benchmarks/bench_kernels.py``
-compares the two.
+progression term; the pure Miller-Rabin screens with one gcd and uses only
+the bases n's size needs, while the compiled one trial-divides by its 12
+bases and then runs all 12.  The compiled backend is preferred when
+importable; set CARMIK_PURE=1 to force the fallback.
+``benchmarks/bench_kernels.py`` compares the two.
 """
 
 import os

@@ -11,13 +11,32 @@ and ``_brent_round`` with a step budget, both of which are exact Python
 integer arithmetic at any size.
 """
 
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 BACKEND_NAME = "pure"
 
-# Deterministic Miller-Rabin witness set; correct for all n < 3.3e24,
-# which covers the full 64-bit range this backend accepts.
+# Miller-Rabin bases: the first twelve primes.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# Strong-pseudoprime bounds psi_k (OEIS A014233; Jaeschke 1993;
+# Sorenson-Webster 2017): every odd composite n < psi_k fails Miller-Rabin
+# to one of the first k prime bases.  Each entry is (psi_k, the first k
+# bases); psi_8 = psi_7 and psi_10 = psi_11 = psi_9, so those tiers are
+# skipped.  psi_12 = 318665857834031151167461 exceeds 2**64: twelve bases
+# are exact on the whole 64-bit range, and only a probable-prime test above.
+_MR_TIERS = tuple(
+    (psi, _MR_BASES[:k])
+    for psi, k in (
+        (2047, 1),
+        (1373653, 2),
+        (25326001, 3),
+        (3215031751, 4),
+        (2152302898747, 5),
+        (3474749660383, 6),
+        (341550071728321, 7),
+        (3825123056546413051, 9),
+    )
+)
 
 # Search outcome codes shared by the subset-product kernels.
 FOUND = 0
@@ -25,17 +44,26 @@ NO_WITNESS = 1
 BUDGET_EXCEEDED = 2
 
 
-def is_prime_u64(n, bases=_MR_BASES):
+def is_prime_u64(n, bases=None):
     """Exact primality for 0 <= n < 2**64 with the default bases.
 
-    With another base set, whether n is a strong probable prime to each of
-    those bases; n equal to a base counts as prime, n divisible by one not.
+    n <= 211 is looked up in the small-prime set, and a larger n sharing a
+    factor with the primes up to 211 is composite.  Survivors go to
+    Miller-Rabin: by default with the fewest leading prime bases that are
+    exact below n (``_MR_TIERS``), twelve from psi_9 on; with an explicit
+    ``bases``, with exactly those bases, answering whether n is a strong
+    probable prime to each of them.
     """
-    if n < 2:
+    if n <= 211:
+        return n in _SMALL_PRIMES
+    if gcd(n, _SMALL_PRODUCT) != 1:
         return False
-    for p in bases:
-        if n % p == 0:
-            return n == p
+    if bases is None:
+        bases = _MR_BASES
+        for psi, tier in _MR_TIERS:
+            if n < psi:
+                bases = tier
+                break
     d = n - 1
     s = 0
     while d % 2 == 0:
@@ -65,6 +93,12 @@ def _sieve_bytes(limit):
             start = p * p
             flags[start : limit + 1 : p] = b"\x00" * ((limit - start) // p + 1)
     return flags
+
+
+# The primes up to 211 and their product: one gcd with it rejects every n
+# with a prime factor <= 211 before any modular exponentiation.
+_SMALL_PRIMES = frozenset(i for i, flag in enumerate(_sieve_bytes(211)) if flag)
+_SMALL_PRODUCT = prod(_SMALL_PRIMES)
 
 
 def primes_in_range(lo, hi):

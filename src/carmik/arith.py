@@ -3,11 +3,15 @@
 Primality policy
 ----------------
 Below ``KERNEL_BOUND`` (2**63) primality is decided exactly by the kernel
-backend's deterministic Miller-Rabin witness set.  At or above the bound,
-``is_prime`` runs the pure kernel's Miller-Rabin, ``pure.is_prime_u64``,
-with the fixed, documented base set ``LARGE_BASES`` (the first 25 primes):
-a probable-prime method, but a reproducible one, and the range this package
-actually exercises is cross-checked exactly by the test suite.
+backend's ``is_prime_u64``.  The pure kernel rejects n with one gcd against
+the primes up to 211, then runs Miller-Rabin with the fewest leading prime
+bases that are exact below n (the strong-pseudoprime bounds psi_k, OEIS
+A014233); the compiled kernel trial-divides by its 12 bases and runs all
+12.  The two give the same answer below 2**64.  At or above the bound,
+``is_prime`` runs the pure kernel with the fixed, documented base set
+``LARGE_BASES`` (the first 25 primes), after the same gcd: a probable-prime
+method, but a reproducible one, and the range this package actually
+exercises is cross-checked exactly by the test suite.
 ``exhaustive=True`` forces trial division instead, for independent
 verification at small sizes.
 

@@ -135,6 +135,10 @@ def enumerate_g(j_product: arith.FactoredInteger, omega_g: int) -> list[int]:
     return sorted(math.prod(c) for c in combinations(j_product.primes, omega_g))
 
 
+# 2*3*5*7: populate_R skips the j at which g*j + 1 shares a factor with it.
+_WHEEL = 210
+
+
 def populate_R(
     j_product: arith.FactoredInteger, omega_g: int, j_cap: int
 ) -> RMap:
@@ -150,8 +154,17 @@ def populate_R(
     assignments: dict[int, list[tuple[int, int]]] = {}
     taken: set[int] = set()
     misses = []
+    every_j = list(range(1, j_cap + 1))  # the residue lists share its ints
+    # Whether g*j + 1 is prime to 2*3*5*7 depends only on g mod 210 and j,
+    # so the j that keep it so are listed once per residue.  A g below 7
+    # can make q itself 2, 3, 5 or 7, so it walks every j.
+    wheel: dict[int, list[int]] = {}
     for g in enumerate_g(j_product, omega_g):
-        for j in range(1, j_cap + 1):
+        js = every_j if g < 7 else wheel.get(g % _WHEEL)
+        if js is None:
+            r = g % _WHEEL
+            js = wheel[r] = [j for j in every_j if math.gcd(r * j + 1, _WHEEL) == 1]
+        for j in js:
             if math.gcd(j, g) != 1:
                 continue
             q = g * j + 1
@@ -195,6 +208,28 @@ def squarefree_product(primes: tuple[int, ...]) -> arith.FactoredInteger:
     return arith.FactoredInteger.from_factor_map({p: 1 for p in primes})
 
 
+# search_P sieves each divisor's candidates by the primes up to this bound.
+_SIEVE_BOUND = 1000
+
+
+def _affine_sieve(a: int, b: int, count: int, primes: list[int]) -> bytearray:
+    """Flags for t = 0..count: 0 where t >= 1 and a*t + b has a factor in
+    primes other than itself, 1 elsewhere (a, b >= 1).
+    """
+    flags = bytearray(b"\x01") * (count + 1)
+    for r in primes:
+        if a % r == 0:
+            if b % r == 0:  # r | a*t + b > r for every t
+                flags[1:] = bytes(count)
+                return flags
+            continue
+        t = -b * pow(a, -1, r) % r or r
+        if a * t + b == r:
+            t += r
+        flags[t::r] = bytes(len(range(t, count + 1, r)))
+    return flags
+
+
 def search_P(
     l_own: arith.FactoredInteger,
     l_other: arith.FactoredInteger,
@@ -211,6 +246,8 @@ def search_P(
     and k1.  Coprimality to L1*L2 is checked explicitly for every candidate
     k.  Among candidates reaching min_count hits, the largest family wins,
     ties to the smallest k.  Returns (k, ((p, d), ...)) with d ascending.
+    Each divisor's candidates are sieved by the primes up to _SIEVE_BOUND
+    before any primality test.
     """
     if nu % 2 != 0:
         raise DomainError("nu must be even")
@@ -226,14 +263,20 @@ def search_P(
             omega_d=omega_d,
             available=l_own.omega,
         )
+    c = 1 if k1 is None else k1
+    # p = d*k*nu + 1 with k = nu*c*k' + 1 is affine in k': p = a*k' + b.
+    primes = arith.primes_in_range(2, _SIEVE_BOUND)
+    sieves = [_affine_sieve(d * nu * nu * c, d * nu + 1, k_cap, primes) for d in divisors]
     best: tuple[int, tuple[tuple[int, int], ...]] | None = None
     best_any = (0, 0)  # (size, k) over every candidate, for diagnostics
     for k_step in range(1, k_cap + 1):
-        k = nu * k_step + 1 if k1 is None else nu * k_step * k1 + 1
+        k = nu * c * k_step + 1
         if math.gcd(k, ll) != 1:
             continue
         hits = tuple(
-            (d * k * nu + 1, d) for d in divisors if arith.is_prime(d * k * nu + 1)
+            (d * k * nu + 1, d)
+            for d, sieve in zip(divisors, sieves)
+            if sieve[k_step] and arith.is_prime(d * k * nu + 1)
         )
         if len(hits) > best_any[0]:
             best_any = (len(hits), k)
@@ -409,6 +452,8 @@ class ConstructionInstance:
         j_product = build_J(cfg.z)
         if int(fields["J"]) != j_product.value:
             raise DomainError(f"J is not the window product for z = {cfg.z}")
+        if fields.get("J_primes") != ",".join(str(p) for p in j_product.primes):
+            raise DomainError(f"J_primes are not the window primes for z = {cfg.z}")
         instance = cls(
             config=cfg,
             j_product=j_product,

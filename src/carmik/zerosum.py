@@ -50,10 +50,13 @@ class UnitGroupStructure:
     CRT-lifted so they act trivially on every other prime-power block of M.
     Component order follows the ascending prime-power blocks, with the
     classical {-1, 5} pair (in that order) for blocks 2**e, e >= 3.
+    ``factored_orders`` holds each component's order, factored once here for
+    the Pohlig-Hellman steps of every discrete log taken over the structure.
     """
 
     modulus: arith.FactoredInteger
     components: tuple[tuple[int, int], ...]
+    factored_orders: tuple[arith.FactoredInteger, ...]
 
     @property
     def orders(self) -> tuple[int, ...]:
@@ -82,25 +85,28 @@ def _primitive_root(p: int, phi_factors: tuple[int, ...]) -> int:
     raise InternalConsistencyError(f"no primitive root found mod {p}")
 
 
-def _local_blocks(fi: arith.FactoredInteger) -> list[tuple[int, int, int]]:
-    """(prime_power, local generator, order) per cyclic factor, in order."""
-    blocks: list[tuple[int, int, int]] = []
+def _local_blocks(fi: arith.FactoredInteger) -> list[tuple[int, int, arith.FactoredInteger]]:
+    """(prime_power, local generator, factored order) per cyclic factor, in order."""
+    blocks: list[tuple[int, int, arith.FactoredInteger]] = []
     for p, e in fi.factors:
         q = p**e
         if p == 2:
             if e == 1:
                 continue  # (Z/2Z)^* is trivial
             if e == 2:
-                blocks.append((4, 3, 2))
+                blocks.append((4, 3, arith.FactoredInteger(2, ((2, 1),))))
             else:
-                blocks.append((q, q - 1, 2))
-                blocks.append((q, 5, 2 ** (e - 2)))
+                blocks.append((q, q - 1, arith.FactoredInteger(2, ((2, 1),))))
+                blocks.append((q, 5, arith.FactoredInteger(2 ** (e - 2), ((2, e - 2),))))
         else:
-            phi_factors = arith.factorize(p - 1).primes
-            g = _primitive_root(p, phi_factors)
+            phi = arith.factorize(p - 1)
+            g = _primitive_root(p, phi.primes)
             if e > 1 and pow(g, p - 1, p * p) == 1:
                 g += p
-            blocks.append((q, g % q, p ** (e - 1) * (p - 1)))
+            order = dict(phi.factors)
+            if e > 1:
+                order[p] = e - 1
+            blocks.append((q, g % q, arith.FactoredInteger.from_factor_map(order)))
     return blocks
 
 
@@ -114,16 +120,21 @@ def unit_group_structure(m: int | arith.FactoredInteger) -> UnitGroupStructure:
     fi = arith.FactoredInteger.of(m)
     if fi.value < 2:
         raise DomainError("unit group structure needs m >= 2")
+    blocks = _local_blocks(fi)
     components = []
-    for q, g, order in _local_blocks(fi):
+    for q, g, order in blocks:
         rest = fi.value // q
         if rest == 1:
             lifted = g % fi.value
         else:
             # lifted == g (mod q), lifted == 1 (mod rest)
             lifted = (g * rest * pow(rest, -1, q) + q * pow(q, -1, rest)) % fi.value
-        components.append((lifted, order))
-    return UnitGroupStructure(modulus=fi, components=tuple(components))
+        components.append((lifted, order.value))
+    return UnitGroupStructure(
+        modulus=fi,
+        components=tuple(components),
+        factored_orders=tuple(order for _, _, order in blocks),
+    )
 
 
 def _bsgs(base: int, target: int, order: int, mod: int) -> int:
@@ -144,10 +155,13 @@ def _bsgs(base: int, target: int, order: int, mod: int) -> int:
     raise DomainError("target lies outside the subgroup generated by base")
 
 
-def _pohlig_hellman(base: int, target: int, order: int, mod: int) -> int:
-    """Discrete log of target in <base>, |<base>| = order (smooth)."""
+def _pohlig_hellman(
+    base: int, target: int, factored_order: arith.FactoredInteger, mod: int
+) -> int:
+    """Discrete log of target in <base>, whose order is given factored (smooth)."""
+    order = factored_order.value
     residues: list[tuple[int, int]] = []
-    for p, e in arith.factorize(order).factors:
+    for p, e in factored_order.factors:
         pe = p**e
         b = pow(base, order // pe, mod)
         t = pow(target, order // pe, mod)
@@ -168,15 +182,16 @@ def _pohlig_hellman(base: int, target: int, order: int, mod: int) -> int:
 def discrete_log_vector(structure: UnitGroupStructure, x: int) -> tuple[int, ...]:
     """Exponent vector of unit x over the structure's components.
 
-    An odd block's local generator is its lifted generator mod p**e, read
-    from the structure rather than searched for again.
+    Each odd block's local generator (its lifted generator mod p**e) and
+    each component's factored order are read from the structure; nothing is
+    searched for or factored again per element.
     """
     fi = structure.modulus
     if math.gcd(x, fi.value) != 1:
         raise DomainError(f"{x} is not a unit mod {fi.value}")
     # Components follow the ascending prime powers: none for 2, one for 4,
     # two for 2**e with e >= 3, one for each odd block.
-    components = iter(structure.components)
+    components = iter(zip(structure.components, structure.factored_orders))
     coords: list[int] = []
     for p, e in fi.factors:
         q = p**e
@@ -188,14 +203,15 @@ def discrete_log_vector(structure: UnitGroupStructure, x: int) -> tuple[int, ...
                 next(components)
                 coords.append(0 if y == 1 else 1)
             else:
-                next(components), next(components)
+                next(components)
+                _, order = next(components)
                 # y == (-1)**a * 5**b over Z/2**e; a is read off mod 4.
                 a = 0 if y % 4 == 1 else 1
                 z = y if a == 0 else (q - y) % q
                 coords.append(a)
-                coords.append(_pohlig_hellman(5, z, 2 ** (e - 2), q))
+                coords.append(_pohlig_hellman(5, z, order, q))
         else:
-            gen, order = next(components)
+            (gen, _), order = next(components)
             coords.append(_pohlig_hellman(gen % q, y, order, q))
     return tuple(coords)
 

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 from fractions import Fraction
 
@@ -97,6 +98,138 @@ class TestPopulateR:
         rmap = cons.populate_R(factored(3), 1, 10)
         ((q, g),) = rmap.buckets[2].members
         assert (q, g) == (7, 3)
+
+
+def reference_populate_R(j_product, omega_g, j_cap):
+    """populate_R as a plain walk over every j, with no wheel."""
+    assignments, taken, misses = {}, set(), []
+    for g in cons.enumerate_g(j_product, omega_g):
+        for j in range(1, j_cap + 1):
+            if math.gcd(j, g) != 1:
+                continue
+            q = g * j + 1
+            if q in taken or not arith.is_prime(q):
+                continue
+            assignments.setdefault(j, []).append((q, g))
+            taken.add(q)
+            break
+        else:
+            misses.append(g)
+    buckets = {j: cons.RBucket(j=j, members=tuple(sorted(m))) for j, m in assignments.items()}
+    return cons.RMap(buckets=buckets, misses=tuple(misses))
+
+
+def reference_search_P(l_own, l_other, nu, omega_d, k_cap, min_count, k1=None):
+    """search_P testing every candidate p, with no sieve."""
+    ll = l_own.value * l_other.value
+    if k1 is not None and math.gcd(k1, nu * ll) != 1:
+        raise DomainError("supplied k1 is not coprime to nu*L1*L2")
+    divisors = sorted(math.prod(c) for c in itertools.combinations(l_own.primes, omega_d))
+    if not divisors:
+        raise SearchExhaustedError(
+            f"no divisor of {l_own.value} has {omega_d} prime factors",
+            omega_d=omega_d,
+            available=l_own.omega,
+        )
+    best, best_any = None, (0, 0)
+    for k_step in range(1, k_cap + 1):
+        k = nu * k_step + 1 if k1 is None else nu * k_step * k1 + 1
+        if math.gcd(k, ll) != 1:
+            continue
+        hits = tuple((d * k * nu + 1, d) for d in divisors if arith.is_prime(d * k * nu + 1))
+        if len(hits) > best_any[0]:
+            best_any = (len(hits), k)
+        if len(hits) >= min_count and (best is None or len(hits) > len(best[1])):
+            best = (k, hits)
+            if len(hits) == len(divisors):
+                break
+    if best is None:
+        raise SearchExhaustedError(
+            f"no k <= {k_cap} produced {min_count} primes over {len(divisors)} divisors",
+            k_cap=k_cap,
+            min_count=min_count,
+            divisors=len(divisors),
+            best_size=best_any[0],
+            best_k=best_any[1],
+        )
+    return best
+
+
+def outcome(fn, *args, **kwargs):
+    try:
+        return "ok", fn(*args, **kwargs)
+    except SearchExhaustedError as exc:
+        return "exhausted", str(exc), exc.stats
+
+
+def assert_rmap_equal(got, want):
+    assert got.misses == want.misses
+    assert sorted(got.buckets.items()) == sorted(want.buckets.items())
+
+
+def assert_families_match(rmap, nu, size, omega_d, k_cap):
+    """Both families of one harvest: search_P against its reference."""
+    if not rmap.buckets:
+        return
+    _, bucket = cons.select_j0(rmap)
+    if len(bucket) < 2 * size:
+        return
+    q1, q2 = cons.split_Q(bucket, size)
+    l1, l2 = cons.squarefree_product(q1), cons.squarefree_product(q2)
+    got = outcome(cons.search_P, l1, l2, nu, omega_d, k_cap, 1)
+    assert got == outcome(reference_search_P, l1, l2, nu, omega_d, k_cap, 1)
+    if got[0] == "ok":
+        k1 = got[1][0]
+        got = outcome(cons.search_P, l2, l1, nu, omega_d, k_cap, 1, k1=k1)
+        assert got == outcome(reference_search_P, l2, l1, nu, omega_d, k_cap, 1, k1=k1)
+
+
+# The construct benchmark's small variants (omega_g = 1, j_cap = 40,
+# k_cap = 4000), with the two whose family 2 is empty mod 3:
+# (z, nu, |Q|, omega_d).
+BENCHMARK_VARIANTS = (
+    (400, 6, 4, 1), (500, 2, 4, 2), (600, 4, 4, 2), (300, 6, 3, 2),
+    (400, 10, 3, 1), (300, 8, 3, 1), (250, 12, 3, 1), (600, 12, 4, 1),
+    (500, 10, 4, 1), (150, 6, 2, 1), (400, 4, 2, 1), (200, 8, 2, 2),
+    (400, 2, 5, 2), (200, 2, 3, 2),
+)
+
+
+class TestCandidateSieves:
+    """populate_R's wheel and search_P's sieve change no result."""
+
+    def test_small_windows_match_the_plain_walks(self):
+        for z in range(4, 61):
+            j_product = cons.build_J(z)
+            for omega_g in (1, 2, 3):
+                for j_cap in (1, 5, 40):
+                    rmap = cons.populate_R(j_product, omega_g, j_cap)
+                    assert_rmap_equal(rmap, reference_populate_R(j_product, omega_g, j_cap))
+            rmap = cons.populate_R(j_product, 1, 40)
+            for nu in (2, 4, 6):
+                for size, omega_d in ((1, 1), (2, 1), (2, 2)):
+                    assert_families_match(rmap, nu, size, omega_d, 300)
+
+    @pytest.mark.parametrize("z, nu, size, omega_d", BENCHMARK_VARIANTS)
+    def test_benchmark_variants_match_the_plain_walks(self, z, nu, size, omega_d):
+        j_product = cons.build_J(z)
+        rmap = cons.populate_R(j_product, 1, 40)
+        assert_rmap_equal(rmap, reference_populate_R(j_product, 1, 40))
+        assert_families_match(rmap, nu, size, omega_d, 4000)
+
+    def test_no_candidate_with_a_small_factor_is_tested(self, monkeypatch):
+        tested = []
+        is_prime = arith.is_prime
+        monkeypatch.setattr(arith, "is_prime", lambda n, **kw: tested.append(n) or is_prime(n, **kw))
+        cons.populate_R(cons.build_J(60), 1, 40)
+        assert tested and all(math.gcd(q, 210) == 1 for q in tested)
+        tested.clear()
+        cons.populate_R(cons.build_J(4), 1, 10)  # g = 2, 3 reach q = 3 and 7
+        assert 3 in tested and 7 in tested
+        tested.clear()
+        sieve_primes = math.prod(arith.primes_in_range(2, cons._SIEVE_BOUND))
+        cons.search_P(factored(149, 173), factored(269, 293), 2, 1, 500, 1)
+        assert tested and all(math.gcd(p, sieve_primes) == 1 for p in tested)
 
 
 class TestSelectJ0:
@@ -231,6 +364,11 @@ class TestInstance:
             cons.ConstructionInstance.parse(broken)
         broken = text.replace(f"J = {instance.j_product.value}", f"J = {instance.j_product.value * 2}")
         with pytest.raises(DomainError, match="window product"):
+            cons.ConstructionInstance.parse(broken)
+        primes_line = "J_primes = " + ",".join(str(p) for p in instance.j_product.primes)
+        broken = text.replace(primes_line, "J_primes = 2,3,5")
+        assert broken != text
+        with pytest.raises(DomainError, match="window primes"):
             cons.ConstructionInstance.parse(broken)
 
     def test_lambda_must_divide_J_times_j0(self):

@@ -8,6 +8,8 @@ import math
 import re
 from pathlib import Path
 
+import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +23,59 @@ def test_pure_defines_every_compiled_kernel():
     names = re.findall(r"^def (\w+)\(", source, flags=re.MULTILINE)
     assert "is_prime_u64" in names  # the pattern finds the kernels
     assert [n for n in names if not callable(getattr(pure, n, None))] == []
+
+
+# psi_k (OEIS A014233) with no prime factor <= 211: the least odd composite
+# that is a strong probable prime to the first k prime bases.
+PSI_WITHOUT_SMALL_FACTORS = (
+    (2, 1373653),
+    (3, 25326001),
+    (5, 2152302898747),
+    (6, 3474749660383),
+    (7, 341550071728321),
+    (9, 3825123056546413051),
+)
+
+
+def test_small_n_against_a_sieve():
+    flags = pure._sieve_bytes(50_000)
+    assert [pure.is_prime_u64(n) for n in range(-3, 50_001)] == [False] * 3 + list(map(bool, flags))
+
+
+@pytest.mark.parametrize("k, psi", PSI_WITHOUT_SMALL_FACTORS)
+def test_tier_boundaries_reject_each_psi(k, psi):
+    # psi_k fools its own k bases, so a tier that reached n == psi_k with
+    # only k bases would call it prime.
+    assert pure.is_prime_u64(psi, pure._MR_BASES[:k])
+    assert not pure.is_prime_u64(psi)
+    assert not pure.is_prime_u64(psi, pure._MR_BASES)
+
+
+def test_twelve_bases_are_not_exact_past_psi_12():
+    psi_12 = 318665857834031151167461  # > 2**64: outside the exact range
+    assert pure.is_prime_u64(psi_12) and not sympy.isprime(psi_12)
+
+
+PRIME_ABOVE_211 = st.integers(212, 2**32 - 100).map(sympy.nextprime)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.one_of(
+        st.sampled_from([psi for _, psi in PSI_WITHOUT_SMALL_FACTORS]).flatmap(
+            lambda psi: st.integers(psi - 3000, psi + 3000)
+        ),
+        st.integers(2**34, 2**52),
+        st.integers(2**34, 2**52).map(sympy.nextprime),
+        st.tuples(PRIME_ABOVE_211, PRIME_ABOVE_211).map(lambda t: t[0] * t[1]),
+        st.integers(0, 2**64 - 1),
+    )
+)
+@example(2**64 - 59)  # the largest 64-bit prime
+def test_tiered_bases_agree_with_twelve_and_sympy(n):
+    expected = sympy.isprime(n)
+    assert pure.is_prime_u64(n) == expected
+    assert pure.is_prime_u64(n, pure._MR_BASES) == expected
 
 
 def reference_ap_max_scan(l_lo, l_hi, caps):
