@@ -52,6 +52,9 @@ def workloads():
     yield "unit sweep n=9973", lambda b: b.all_units_pow_one(9973, 9972)
     yield "ap scan l <= 500", lambda b: b.ap_max_scan(2, 500, ap_caps)
     yield "brent x 20 semiprimes", lambda b: [b.brent_factor(n) for n in semiprimes]
+    yield "subset exhaustive x 200 (mod 105)", lambda b: [
+        b.subset_witness_exhaustive(e, 105, 0) for e in stress
+    ]
     yield "subset mitm x 200 (mod 105)", lambda b: [
         b.subset_witness_mitm(e, 105, 0) for e in stress
     ]
@@ -63,18 +66,18 @@ def main():
     args = parser.parse_args()
     if native is None:
         print("compiled backend unavailable; timing the pure backend only")
-    header = f"{'workload':<30} {'pure':>10} {'native':>10} {'speedup':>9}"
+    header = f"{'workload':<34} {'pure':>10} {'native':>10} {'speedup':>9}"
     print(header)
     print("-" * len(header))
     for name, fn in workloads():
         pure_value, pure_time = timed(lambda: fn(pure), args.repeat)
         if native is None:
-            print(f"{name:<30} {pure_time:>9.3f}s {'-':>10} {'-':>9}")
+            print(f"{name:<34} {pure_time:>9.3f}s {'-':>10} {'-':>9}")
             continue
         native_value, native_time = timed(lambda: fn(native), args.repeat)
         assert pure_value == native_value, f"backend mismatch in {name}"
         print(
-            f"{name:<30} {pure_time:>9.3f}s {native_time:>9.3f}s "
+            f"{name:<34} {pure_time:>9.3f}s {native_time:>9.3f}s "
             f"{pure_time / native_time:>8.1f}x"
         )
 

@@ -9,6 +9,11 @@ Arguments fit in an unsigned 64-bit word, except where ``carmik.arith``
 hands this module larger operands: ``is_prime_u64`` with its own base set
 and ``_brent_round`` with a step budget, both of which are exact Python
 integer arithmetic at any size.
+
+The product-one subset walk lives here once, as ``_product_one_walk``:
+``subset_witness_exhaustive`` is its first hit, and
+``zerosum.enumerate_product_one_subsets`` runs it with a size window and a
+count cap on either backend.
 """
 
 from math import gcd, isqrt, prod
@@ -331,37 +336,56 @@ def prefix_run_witness(elements, modulus):
     return None
 
 
+def _product_one_walk(elements, modulus, len_min, len_max, count_cap, node_cap):
+    """Preorder walk over index subsets, indices ascending, for product 1.
+
+    Subsets grow to at most len_max indices; each with product 1 and at
+    least len_min indices is recorded, in lexicographic order, and the walk
+    goes on below it.  Returns (status, found, nodes): BUDGET_EXCEEDED once
+    node_cap > 0 nodes were visited, else FOUND if found is nonempty (the
+    walk stops at the count_cap-th; None: no cap), else NO_WITNESS.  nodes
+    counts the visited nodes, the one past node_cap included.
+    """
+    n = len(elements)
+    reduced = [e % modulus for e in elements]
+    one = 1 % modulus
+    found = []
+    path = []
+    prods = [one]
+    i = 0
+    nodes = 0
+    while True:
+        # len(path) <= i, so i < len_max settles the size test without len()
+        # whenever the window cannot bind, as in every first-hit search.
+        if i < n and (i < len_max or len(path) < len_max):
+            nodes += 1
+            if node_cap and nodes > node_cap:
+                return BUDGET_EXCEEDED, found, nodes
+            p = prods[-1] * reduced[i] % modulus
+            path.append(i)
+            prods.append(p)
+            if p == one and len(path) >= len_min:
+                found.append(tuple(path))
+                if len(found) == count_cap:
+                    return FOUND, found, nodes
+            i += 1
+        else:
+            if not path:
+                return (FOUND if found else NO_WITNESS), found, nodes
+            i = path.pop() + 1
+            prods.pop()
+
+
 def subset_witness_exhaustive(elements, modulus, node_cap):
     """Depth-first search, indices ascending, for a subset with product 1.
 
     Returns (FOUND, indices) for the first witness in preorder (equivalently
     the lexicographically smallest index tuple), (NO_WITNESS, None) after a
     complete traversal, or (BUDGET_EXCEEDED, None) once node_cap > 0 nodes
-    were visited.
+    were visited.  It is the first hit of ``_product_one_walk``.
     """
-    n = len(elements)
-    reduced = [e % modulus for e in elements]
-    one = 1 % modulus
-    path = []
-    prods = [one]
-    i = 0
-    nodes = 0
-    while True:
-        if i < n:
-            nodes += 1
-            if node_cap and nodes > node_cap:
-                return BUDGET_EXCEEDED, None
-            p = prods[-1] * reduced[i] % modulus
-            path.append(i)
-            prods.append(p)
-            if p == one:
-                return FOUND, tuple(path)
-            i += 1
-        else:
-            if not path:
-                return NO_WITNESS, None
-            i = path.pop() + 1
-            prods.pop()
+    status, found, _ = _product_one_walk(elements, modulus, 1, len(elements), 1, node_cap)
+    return status, (found[0] if status == FOUND else None)
 
 
 def subset_witness_mitm(elements, modulus, table_cap):

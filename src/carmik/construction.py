@@ -14,7 +14,9 @@ ascending primes, and the k-search prefers larger families then smaller k.
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import typing
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -85,6 +87,23 @@ class ConstructionConfig:
         if self.j_cap:
             return self.j_cap
         return math.ceil(math.log(self.z) ** (2 * self.exponent_a))
+
+
+def _parse_bool(text: str) -> bool:
+    return text.lower() in ("1", "true", "yes")
+
+
+def text_parsers(cls) -> dict[str, typing.Callable[[str], object]]:
+    """Field name -> parser of its text form, from a config dataclass's annotations.
+
+    A bool is true for "1", "true" or "yes" in any case; any other type
+    parses the text itself and raises ValueError on malformed text.
+    """
+    hints = typing.get_type_hints(cls)
+    return {
+        f.name: _parse_bool if hints[f.name] is bool else hints[f.name]
+        for f in dataclasses.fields(cls)
+    }
 
 
 @dataclass(frozen=True)
@@ -390,19 +409,10 @@ class ConstructionInstance:
     # -- flat text serialization (resume/inspect format) -----------------
 
     def serialize(self) -> str:
-        cfg = self.config
-        lines = [
-            "format = carmik-instance-v1",
-            f"z = {cfg.z}",
-            f"nu = {cfg.nu}",
-            f"omega_g = {cfg.omega_g}",
-            f"omega_d = {cfg.omega_d}",
-            f"j_cap = {cfg.j_cap}",
-            f"k_cap = {cfg.k_cap}",
-            f"q_subset_size = {cfg.q_subset_size}",
-            f"exponent_a = {cfg.exponent_a!r}",
-            f"min_count = {cfg.min_count}",
-            f"factor_digits = {cfg.factor_digits}",
+        lines = ["format = carmik-instance-v1"]
+        lines += [f"{f.name} = {getattr(self.config, f.name)}"
+                  for f in dataclasses.fields(ConstructionConfig)]
+        lines += [
             f"J = {self.j_product.value}",
             "J_primes = " + ",".join(str(p) for p in self.j_product.primes),
             f"j0 = {self.j0}",
@@ -426,20 +436,17 @@ class ConstructionInstance:
             fields[key.strip()] = value.strip()
         if fields.get("format") != "carmik-instance-v1":
             raise DomainError("unrecognized instance document")
-        cfg = ConstructionConfig(
-            z=int(fields["z"]),
-            nu=int(fields["nu"]),
-            omega_g=int(fields["omega_g"]),
-            omega_d=int(fields["omega_d"]),
-            j_cap=int(fields["j_cap"]),
-            k_cap=int(fields["k_cap"]),
-            q_subset_size=int(fields["q_subset_size"]),
-            exponent_a=float(fields["exponent_a"]),
-            min_count=int(fields["min_count"]),
-            factor_digits=int(fields["factor_digits"]),
-        )
-        q1 = tuple(int(x) for x in fields["Q1"].split(",") if x)
-        q2 = tuple(int(x) for x in fields["Q2"].split(",") if x)
+
+        def value(key, parse=int):
+            if key not in fields:
+                raise DomainError(f"instance document has no {key!r} line")
+            try:
+                return parse(fields[key])
+            except ValueError as exc:
+                raise DomainError(f"instance field {key!r} is malformed: {exc}") from exc
+
+        def ints(s):
+            return tuple(int(x) for x in s.split(",") if x)
 
         def pairs(s):
             out = []
@@ -449,23 +456,28 @@ class ConstructionInstance:
                     out.append((int(p), int(d)))
             return tuple(out)
 
+        cfg = ConstructionConfig(
+            **{key: value(key, parse) for key, parse in text_parsers(ConstructionConfig).items()}
+        )
+        q1 = value("Q1", ints)
+        q2 = value("Q2", ints)
         j_product = build_J(cfg.z)
-        if int(fields["J"]) != j_product.value:
+        if value("J") != j_product.value:
             raise DomainError(f"J is not the window product for z = {cfg.z}")
-        if fields.get("J_primes") != ",".join(str(p) for p in j_product.primes):
+        if value("J_primes", str) != ",".join(str(p) for p in j_product.primes):
             raise DomainError(f"J_primes are not the window primes for z = {cfg.z}")
         instance = cls(
             config=cfg,
             j_product=j_product,
-            j0=int(fields["j0"]),
+            j0=value("j0"),
             q1=q1,
             q2=q2,
             l1=squarefree_product(q1),
             l2=squarefree_product(q2),
-            k1=int(fields["k1"]),
-            k2=int(fields["k2"]),
-            p1=pairs(fields["P1"]),
-            p2=pairs(fields["P2"]),
+            k1=value("k1"),
+            k2=value("k2"),
+            p1=value("P1", pairs),
+            p2=value("P2", pairs),
         )
         instance.verify()
         return instance

@@ -17,7 +17,8 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field, fields as dc_fields
+from contextlib import contextmanager
+from dataclasses import MISSING, dataclass, field, fields as dc_fields
 from pathlib import Path
 
 from . import arith, korselt, zerosum
@@ -31,6 +32,7 @@ from .construction import (
     split_Q,
     verify_pairwise_gcd,
     squarefree_product,
+    text_parsers,
     zero_sum_modulus,
 )
 from .errors import (
@@ -75,33 +77,12 @@ class RunConfig:
             raise ConfigError("len_max and seed must be >= 0")
 
 
-# Config file schema: flat "key = value" lines, '#' comments, no sections.
-_CONSTRUCTION_KEYS = {
-    "z": int,
-    "nu": int,
-    "omega_g": int,
-    "omega_d": int,
-    "j_cap": int,
-    "k_cap": int,
-    "q_subset_size": int,
-    "exponent_a": float,
-    "min_count": int,
-    "factor_digits": int,
-}
-_RUN_KEYS = {
-    "len_min": int,
-    "len_max": int,
-    "witness_cap": int,
-    "node_cap": int,
-    "target_count": int,
-    "force_zero_sum": lambda s: s.lower() in ("1", "true", "yes"),
-    "fermat_bases": int,
-    "seed": int,
-}
-
-
 def parse_config(text: str) -> RunConfig:
-    """Parse a flat key = value document; unknown keys are rejected."""
+    """Parse a flat "key = value" document with '#' comments and no sections.
+
+    The keys are the fields of ConstructionConfig and RunConfig, typed by
+    their annotations; unknown keys are rejected.
+    """
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -114,15 +95,18 @@ def parse_config(text: str) -> RunConfig:
         if key in raw:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         raw[key] = value.strip()
-    unknown = set(raw) - set(_CONSTRUCTION_KEYS) - set(_RUN_KEYS)
+    construction = text_parsers(ConstructionConfig)
+    run = text_parsers(RunConfig)
+    del run["construction"]
+    unknown = set(raw) - set(construction) - set(run)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    for required in ("z", "nu"):
-        if required not in raw:
-            raise ConfigError(f"missing required key {required!r}")
+    for f in dc_fields(ConstructionConfig):
+        if f.default is MISSING and f.name not in raw:
+            raise ConfigError(f"missing required key {f.name!r}")
     try:
-        ckw = {k: conv(raw[k]) for k, conv in _CONSTRUCTION_KEYS.items() if k in raw}
-        rkw = {k: conv(raw[k]) for k, conv in _RUN_KEYS.items() if k in raw}
+        ckw = {k: parse(raw[k]) for k, parse in construction.items() if k in raw}
+        rkw = {k: parse(raw[k]) for k, parse in run.items() if k in raw}
     except ValueError as exc:
         raise ConfigError(f"bad value in config: {exc}") from exc
     return RunConfig(construction=ConstructionConfig(**ckw), **rkw)
@@ -130,13 +114,9 @@ def parse_config(text: str) -> RunConfig:
 
 def render_config(rc: RunConfig) -> str:
     """Canonical text form of a RunConfig (round-trips through parse_config)."""
-    lines = []
-    for f in dc_fields(ConstructionConfig):
-        lines.append(f"{f.name} = {getattr(rc.construction, f.name)}")
-    for f in dc_fields(RunConfig):
-        if f.name == "construction":
-            continue
-        lines.append(f"{f.name} = {getattr(rc, f.name)}")
+    lines = [f"{f.name} = {getattr(rc.construction, f.name)}" for f in dc_fields(ConstructionConfig)]
+    lines += [f"{f.name} = {getattr(rc, f.name)}" for f in dc_fields(RunConfig)
+              if f.name != "construction"]
     return "\n".join(lines) + "\n"
 
 
@@ -173,50 +153,50 @@ def instance_fingerprint(instance: ConstructionInstance) -> str:
     return "sha256:" + hashlib.sha256(instance.serialize().encode()).hexdigest()
 
 
+@contextmanager
+def _stage(timings: dict[str, float] | None, name: str, tag: str | None = None):
+    """Time the block as stage ``name`` in timings, also when it raises.
+
+    With a tag, a SearchExhaustedError raised in the block leaves it as
+    StageError(tag, ...) with the search's stats as data.
+    """
+    start = time.perf_counter()
+    try:
+        yield
+    except SearchExhaustedError as exc:
+        if tag is None:
+            raise
+        raise StageError(tag, str(exc), **exc.stats) from exc
+    finally:
+        if timings is not None:
+            timings[name] = time.perf_counter() - start
+
+
 def harvest_instance(cc: ConstructionConfig, timings: dict[str, float] | None = None) -> ConstructionInstance:
     """Run the harvesting stages and return a verified instance."""
-    clock = time.perf_counter
-    t = clock()
-
-    def lap(name):
-        nonlocal t
-        if timings is not None:
-            now = clock()
-            timings[name] = now - t
-            t = now
-
-    j_product = build_J(cc.z)
-    lap("build_J")
-    rmap = populate_R(j_product, cc.resolved_omega_g, cc.resolved_j_cap)
-    lap("populate_R")
-    if not rmap.buckets:
-        raise StageError("bucket", "no residue bucket produced any prime", misses=len(rmap.misses))
-    j0, bucket = select_j0(rmap)
-    try:
+    with _stage(timings, "build_J"):
+        j_product = build_J(cc.z)
+    with _stage(timings, "populate_R"):
+        rmap = populate_R(j_product, cc.resolved_omega_g, cc.resolved_j_cap)
+    with _stage(timings, "select_split", "bucket"):
+        if not rmap.buckets:
+            raise StageError("bucket", "no residue bucket produced any prime", misses=len(rmap.misses))
+        j0, bucket = select_j0(rmap)
         q1, q2 = split_Q(bucket, cc.q_subset_size)
-    except SearchExhaustedError as exc:
-        raise StageError("bucket", str(exc), **exc.stats) from exc
-    lap("select_split")
-    l1, l2 = squarefree_product(q1), squarefree_product(q2)
-    try:
+    with _stage(timings, "search_P1", "family-1"):
+        l1, l2 = squarefree_product(q1), squarefree_product(q2)
         k1, p1 = search_P(l1, l2, cc.nu, cc.omega_d, cc.k_cap, cc.min_count)
-    except SearchExhaustedError as exc:
-        raise StageError("family-1", str(exc), **exc.stats) from exc
-    lap("search_P1")
-    try:
+    with _stage(timings, "search_P2", "family-2"):
         k2, p2 = search_P(l2, l1, cc.nu, cc.omega_d, cc.k_cap, cc.min_count, k1=k1)
-    except SearchExhaustedError as exc:
-        raise StageError("family-2", str(exc), **exc.stats) from exc
-    lap("search_P2")
-    ok, bad = verify_pairwise_gcd(p1, p2, cc.nu)
-    if not ok:
-        raise InternalConsistencyError(f"pairwise gcd check failed at {bad}")
-    instance = ConstructionInstance(
-        config=cc, j_product=j_product, j0=j0, q1=q1, q2=q2,
-        l1=l1, l2=l2, k1=k1, k2=k2, p1=p1, p2=p2,
-    )
-    instance.verify()
-    lap("verify_ledger")
+    with _stage(timings, "verify_ledger"):
+        ok, bad = verify_pairwise_gcd(p1, p2, cc.nu)
+        if not ok:
+            raise InternalConsistencyError(f"pairwise gcd check failed at {bad}")
+        instance = ConstructionInstance(
+            config=cc, j_product=j_product, j0=j0, q1=q1, q2=q2,
+            l1=l1, l2=l2, k1=k1, k2=k2, p1=p1, p2=p2,
+        )
+        instance.verify()
     return instance
 
 
@@ -274,49 +254,39 @@ def complete_batch(
     timings: dict[str, float] | None = None,
 ) -> CarmichaelBatch:
     """Zero-sum, assembly, and certification stages for a harvested instance."""
-    clock = time.perf_counter
-    t = clock()
-
-    def lap(name):
-        nonlocal t
-        if timings is not None:
-            now = clock()
-            timings[name] = now - t
-            t = now
-
     cc = instance.config
-    modulus = zero_sum_modulus(instance)
-    w1s = _family_witnesses(instance.p1, modulus, rc, 1)
-    w2s = _family_witnesses(instance.p2, modulus, rc, 2)
-    lap("zero_sum")
+    with _stage(timings, "zero_sum"):
+        modulus = zero_sum_modulus(instance)
+        w1s = _family_witnesses(instance.p1, modulus, rc, 1)
+        w2s = _family_witnesses(instance.p2, modulus, rc, 2)
 
     p1_primes = [p for p, _ in instance.p1]
     p2_primes = [p for p, _ in instance.p2]
     certificates = []
     pairs = []
-    for w1 in w1s:
-        for w2 in w2s:
-            s1 = [p1_primes[i] for i in w1.indices]
-            s2 = [p2_primes[i] for i in w2.indices]
-            if len(s1) + len(s2) < 3 or set(s1) & set(s2):
-                continue
-            n1 = math.prod(s1)
-            n2 = math.prod(s2)
-            n = n1 * n2
-            cert = korselt.is_carmichael(n, effort_digits=cc.factor_digits)
-            if not cert or cert.k_invariant != cc.nu:
-                raise InternalConsistencyError(
-                    f"assembled n = {n} failed certification despite a valid ledger"
-                )
-            independent_recheck(n, cc.nu, bases=rc.fermat_bases, seed=rc.seed,
-                                effort_digits=cc.factor_digits)
-            certificates.append(cert)
-            pairs.append((w1, w2))
+    with _stage(timings, "certify"):
+        for w1 in w1s:
+            for w2 in w2s:
+                s1 = [p1_primes[i] for i in w1.indices]
+                s2 = [p2_primes[i] for i in w2.indices]
+                if len(s1) + len(s2) < 3 or set(s1) & set(s2):
+                    continue
+                n1 = math.prod(s1)
+                n2 = math.prod(s2)
+                n = n1 * n2
+                cert = korselt.is_carmichael(n, effort_digits=cc.factor_digits)
+                if not cert or cert.k_invariant != cc.nu:
+                    raise InternalConsistencyError(
+                        f"assembled n = {n} failed certification despite a valid ledger"
+                    )
+                independent_recheck(n, cc.nu, bases=rc.fermat_bases, seed=rc.seed,
+                                    effort_digits=cc.factor_digits)
+                certificates.append(cert)
+                pairs.append((w1, w2))
+                if len(certificates) >= rc.target_count:
+                    break
             if len(certificates) >= rc.target_count:
                 break
-        if len(certificates) >= rc.target_count:
-            break
-    lap("certify")
     if len(certificates) < rc.target_count:
         raise StageError(
             "assembly",

@@ -3,7 +3,9 @@
 Three interchangeable strategies, picked by sequence length when
 ``strategy="auto"``:
 
-* ``exhaustive``  — depth-first over index subsets (<= 24 elements),
+* ``exhaustive``  — depth-first over index subsets (<= 24 elements); on
+  the pure backend this is ``pure._product_one_walk``, the preorder walk
+  ``enumerate_product_one_subsets`` runs too,
 * ``mitm``        — meet-in-the-middle on two halves (<= 48),
 * ``dlog``        — discrete logs on the CRT decomposition of the unit
   group, then reachability over the resulting additive lattice.
@@ -304,6 +306,8 @@ def find_product_one_subsequence(
     was covered completely without finding a witness; a blown budget raises
     SearchExhaustedError instead of guessing.
     """
+    if strategy not in ("auto", "exhaustive", "mitm", "dlog"):
+        raise DomainError(f"unknown strategy {strategy!r}")
     fi = modulus if isinstance(modulus, arith.FactoredInteger) else None
     m = int(modulus) if fi is None else fi.value
     reduced = _validate_units(list(elements), m)
@@ -328,11 +332,9 @@ def find_product_one_subsequence(
     elif strategy == "mitm":
         impl = backend if m < arith.KERNEL_BOUND else pure
         status, witness = impl.subset_witness_mitm(reduced, m, table_cap)
-    elif strategy == "dlog":
+    else:
         witness = _dlog_walk(reduced, fi if fi is not None else arith.FactoredInteger.of(m), state_cap)
         status = pure.FOUND if witness is not None else pure.NO_WITNESS
-    else:
-        raise DomainError(f"unknown strategy {strategy!r}")
 
     if status == pure.BUDGET_EXCEEDED:
         raise SearchExhaustedError(
@@ -365,41 +367,22 @@ def enumerate_product_one_subsets(
     """All product-one index subsets with len_min <= size <= len_max.
 
     Enumeration order is lexicographic on the index tuples and the result
-    is truncated at count_cap.  node_cap bounds the number of search nodes;
-    hitting it before the enumeration finished raises SearchExhaustedError
-    rather than silently returning a partial answer.
+    is truncated at count_cap (None: no cap).  node_cap bounds the number of
+    search nodes; hitting it before the enumeration finished raises
+    SearchExhaustedError rather than silently returning a partial answer.
+    The walk is ``pure._product_one_walk``, the one behind the exhaustive
+    strategy too.
     """
     m = int(modulus)
     reduced = _validate_units(list(elements), m)
-    n = len(reduced)
     if len_min < 1:
         raise DomainError("len_min must be >= 1")
-    hi = n if len_max is None else min(len_max, n)
+    if count_cap is not None and count_cap < 1:
+        raise DomainError("count_cap must be >= 1")
+    hi = len(reduced) if len_max is None else min(len_max, len(reduced))
     if len_min > hi:
         return []
-    one = 1 % m
-    out: list[ZeroSumWitness] = []
-    path: list[int] = []
-    prods = [one]
-    i = 0
-    nodes = 0
-    while True:
-        if i < n and len(path) < hi:
-            nodes += 1
-            if node_cap and nodes > node_cap:
-                raise SearchExhaustedError(
-                    "enumeration budget exhausted", nodes=nodes, found=len(out)
-                )
-            p = prods[-1] * reduced[i] % m
-            path.append(i)
-            prods.append(p)
-            if p == one and len(path) >= len_min:
-                out.append(ZeroSumWitness(indices=tuple(path), product_check=p))
-                if count_cap is not None and len(out) >= count_cap:
-                    return out
-            i += 1
-        else:
-            if not path:
-                return out
-            i = path.pop() + 1
-            prods.pop()
+    status, found, nodes = pure._product_one_walk(reduced, m, len_min, hi, count_cap, node_cap)
+    if status == pure.BUDGET_EXCEEDED:
+        raise SearchExhaustedError("enumeration budget exhausted", nodes=nodes, found=len(found))
+    return [ZeroSumWitness(indices=indices, product_check=1) for indices in found]

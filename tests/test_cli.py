@@ -132,6 +132,27 @@ class TestConstruct:
         assert "resumed instance sha256:" in second.out
         assert first.err.splitlines()[-2:] == second.err.splitlines()[-2:]
 
+    def test_malformed_resume_document_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(NU2_CONFIG)
+        workdir = tmp_path / "out"
+        cli.main(["construct", "--config", str(cfg), "--workdir", str(workdir)])
+        text = (workdir / "instance.txt").read_text()
+        k1_line = next(l for l in text.splitlines() if l.startswith("k1 = "))
+        docs = {
+            "'nu'": "format = carmik-instance-v1\nz = 74\n",
+            "'k1'": text.replace(k1_line, "k1 = abc"),
+        }
+        for field, doc in docs.items():
+            path = tmp_path / "broken.txt"
+            path.write_text(doc)
+            capsys.readouterr()
+            code = cli.main(["construct", "--config", str(cfg), "--workdir", str(workdir),
+                             "--resume", str(path)])
+            err = capsys.readouterr().err
+            assert code == 3
+            assert err.startswith("error: ") and field in err
+
     def test_bad_config_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("z = 74\nnu = 3\n")

@@ -402,6 +402,19 @@ class TestInstance:
         with pytest.raises(DomainError):
             cons.ConstructionInstance.parse("format = something-else\n")
 
+    def test_malformed_document_names_the_field(self):
+        with pytest.raises(DomainError, match="no 'nu' line"):
+            cons.ConstructionInstance.parse("format = carmik-instance-v1\nz = 74\n")
+        text = harvested_instance().serialize()
+        for key, bad in (("k1", "abc"), ("exponent_a", "two"), ("Q2", "5,x"), ("P1", "7")):
+            line = next(l for l in text.splitlines() if l.startswith(f"{key} = "))
+            broken = text.replace(line, f"{key} = {bad}")
+            with pytest.raises(DomainError, match=f"instance field '{key}' is malformed"):
+                cons.ConstructionInstance.parse(broken)
+            without = text.replace(line + "\n", "")
+            with pytest.raises(DomainError, match=f"no '{key}' line"):
+                cons.ConstructionInstance.parse(without)
+
 
 class TestCombinatorialIdentity:
     def test_binomial_dominates_power_exactly(self):

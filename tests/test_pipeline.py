@@ -3,8 +3,8 @@ import json
 import pytest
 
 from carmik import korselt, pipeline
-from carmik.construction import ConstructionInstance
-from carmik.errors import ConfigError, InternalConsistencyError, StageError
+from carmik.construction import ConstructionConfig, ConstructionInstance
+from carmik.errors import ConfigError, InternalConsistencyError, SearchExhaustedError, StageError
 from carmik.zerosum import ZeroSumWitness
 
 BASE_CONFIG = """
@@ -53,6 +53,11 @@ class TestParseConfig:
     def test_render_roundtrip(self):
         rc = pipeline.parse_config(BASE_CONFIG)
         assert pipeline.parse_config(pipeline.render_config(rc)) == rc
+        rc = pipeline.parse_config(BASE_CONFIG + "force_zero_sum = yes\nexponent_a = 1.75\n")
+        assert rc.force_zero_sum is True and rc.construction.exponent_a == 1.75
+        text = pipeline.render_config(rc)
+        assert "force_zero_sum = True\n" in text and "exponent_a = 1.75\n" in text
+        assert pipeline.parse_config(text) == rc
 
 
 class TestHarvest:
@@ -78,14 +83,29 @@ class TestHarvest:
             pipeline.harvest_instance(rc.construction)
         assert exc.value.stage == "family-1"
 
+    def test_failed_stage_is_timed(self):
+        # Family 2 is empty mod 3 here: every Q2 prime is 1 mod 3 and k1 is 0 mod 3.
+        cc = ConstructionConfig(z=200, nu=2, omega_g=1, omega_d=2, j_cap=40, k_cap=4000,
+                                q_subset_size=3)
+        timings = {}
+        with pytest.raises(StageError) as exc:
+            pipeline.harvest_instance(cc, timings)
+        assert exc.value.stage == "family-2"
+        assert str(exc.value).startswith("family-2: no k <= 4000 produced 1 primes")
+        assert exc.value.data["k_cap"] == 4000
+        assert isinstance(exc.value.__cause__, SearchExhaustedError)
+        assert list(timings) == ["build_J", "populate_R", "select_split", "search_P1", "search_P2"]
+
 
 class TestZeroSumStage:
     def test_insufficient_primes_guard(self):
         rc = pipeline.parse_config(BASE_CONFIG)
         instance = pipeline.harvest_instance(rc.construction)
+        timings = {}
         with pytest.raises(StageError) as exc:
-            pipeline.complete_batch(instance, rc)
+            pipeline.complete_batch(instance, rc, timings)
         assert exc.value.stage == "zero-sum-1"
+        assert list(timings) == ["zero_sum"]
         assert "insufficient primes" in str(exc.value)
         assert exc.value.data["family_size"] == len(instance.p1)
         assert exc.value.data["threshold"] is None or exc.value.data["threshold"] > len(

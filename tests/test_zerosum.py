@@ -3,8 +3,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carmik import arith, zerosum
+from carmik._kernels import pure
 from carmik.errors import DomainError, SearchExhaustedError
 
 
@@ -104,6 +107,11 @@ class TestFind:
     def test_empty(self):
         assert zerosum.find_product_one_subsequence([], 7) is None
 
+    def test_unknown_strategy_rejected_before_any_search(self):
+        # The prefix pass alone would find (0, 1) here.
+        with pytest.raises(DomainError, match="unknown strategy 'bogus'"):
+            zerosum.find_product_one_subsequence([2, 3], 5, strategy="bogus")
+
     def test_every_returned_witness_verifies(self):
         rng = random.Random(5)
         for _ in range(300):
@@ -157,6 +165,13 @@ class TestEnumerate:
         ws = zerosum.enumerate_product_one_subsets([4, 4, 2, 3], 5, 2, 3, count_cap=1)
         assert [w.indices for w in ws] == [(0, 1)]
 
+    def test_count_cap_must_be_positive(self):
+        for cap in (0, -1):
+            with pytest.raises(DomainError, match="count_cap"):
+                zerosum.enumerate_product_one_subsets([4, 4, 2, 3], 5, count_cap=cap)
+        ws = zerosum.enumerate_product_one_subsets([4, 4, 2, 3], 5, count_cap=None)
+        assert [w.indices for w in ws] == [(0, 1), (0, 1, 2, 3), (2, 3)]
+
     def test_lexicographic_order(self):
         rng = random.Random(21)
         for _ in range(50):
@@ -182,6 +197,118 @@ class TestEnumerate:
     def test_node_budget(self):
         with pytest.raises(SearchExhaustedError):
             zerosum.enumerate_product_one_subsets([2] * 12, 13, node_cap=5)
+
+
+def reference_exhaustive(elements, modulus, node_cap):
+    """pure.subset_witness_exhaustive as it was before it shared its walk."""
+    n = len(elements)
+    reduced = [e % modulus for e in elements]
+    one = 1 % modulus
+    path = []
+    prods = [one]
+    i = 0
+    nodes = 0
+    while True:
+        if i < n:
+            nodes += 1
+            if node_cap and nodes > node_cap:
+                return pure.BUDGET_EXCEEDED, None
+            p = prods[-1] * reduced[i] % modulus
+            path.append(i)
+            prods.append(p)
+            if p == one:
+                return pure.FOUND, tuple(path)
+            i += 1
+        else:
+            if not path:
+                return pure.NO_WITNESS, None
+            i = path.pop() + 1
+            prods.pop()
+
+
+def reference_enumerate(elements, m, len_min=1, len_max=None, count_cap=None, node_cap=None):
+    """enumerate_product_one_subsets as it was before it shared its walk,
+    for units mod m >= 2 and len_min >= 1."""
+    reduced = [e % m for e in elements]
+    n = len(reduced)
+    hi = n if len_max is None else min(len_max, n)
+    if len_min > hi:
+        return []
+    one = 1 % m
+    out = []
+    path = []
+    prods = [one]
+    i = 0
+    nodes = 0
+    while True:
+        if i < n and len(path) < hi:
+            nodes += 1
+            if node_cap and nodes > node_cap:
+                raise SearchExhaustedError(
+                    "enumeration budget exhausted", nodes=nodes, found=len(out)
+                )
+            p = prods[-1] * reduced[i] % m
+            path.append(i)
+            prods.append(p)
+            if p == one and len(path) >= len_min:
+                out.append(zerosum.ZeroSumWitness(indices=tuple(path), product_check=p))
+                if count_cap is not None and len(out) >= count_cap:
+                    return out
+            i += 1
+        else:
+            if not path:
+                return out
+            i = path.pop() + 1
+            prods.pop()
+
+
+@st.composite
+def unit_sequences(draw):
+    """(units, m): m below 2**63 or above it, up to 13 units, often with a
+    planted product-one subset; small m repeat units and hit often."""
+    m = draw(st.one_of(st.integers(2, 60), st.integers(61, 2**63 - 1), st.integers(2**63, 2**80)))
+    units = []
+    for a in draw(st.lists(st.integers(1, max(1, m - 1)), max_size=13)):
+        units.append(a if math.gcd(a, m) == 1 else 1)
+    if len(units) >= 2 and draw(st.booleans()):
+        where = draw(st.lists(st.integers(0, len(units) - 1), min_size=2, max_size=4, unique=True))
+        rest = math.prod(units[i] for i in where[1:]) % m
+        units[where[0]] = pow(rest, -1, m)
+    return units, m
+
+
+def enumerate_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except SearchExhaustedError as exc:
+        return "exhausted", str(exc), exc.stats
+
+
+class TestProductOneWalk:
+    """The shared walk gives what the two separate loops gave."""
+
+    @settings(deadline=None, max_examples=400)
+    @given(unit_sequences(), st.one_of(st.just(0), st.integers(1, 300)))
+    def test_exhaustive_matches_its_former_loop(self, case, node_cap):
+        units, m = case
+        assert pure.subset_witness_exhaustive(units, m, node_cap) == reference_exhaustive(
+            units, m, node_cap
+        )
+
+    @settings(deadline=None, max_examples=400)
+    @given(
+        unit_sequences(),
+        st.integers(1, 5),
+        st.none() | st.integers(0, 14),
+        st.none() | st.integers(1, 6),
+        st.none() | st.just(0) | st.integers(1, 300),
+    )
+    def test_enumerate_matches_its_former_loop(self, case, len_min, len_max, count_cap, node_cap):
+        units, m = case
+        args = (units, m, len_min, len_max, count_cap, node_cap)
+        assert enumerate_outcome(zerosum.enumerate_product_one_subsets, *args) == enumerate_outcome(
+            reference_enumerate, *args
+        )
 
 
 class TestStressSmall:
