@@ -1,25 +1,15 @@
-import os
-
 from setuptools import Extension, setup
 
-ext_modules = []
-if not os.environ.get("CARMIK_SKIP_NATIVE"):
-    try:
-        from Cython.Build import cythonize
-
-        ext_modules = cythonize(
-            [
-                Extension(
-                    "carmik._kernels._native",
-                    ["src/carmik/_kernels/_native.pyx"],
-                    extra_compile_args=["-O2"],
-                )
-            ],
-            language_level=3,
+# The compiled kernels build from the tracked C that Cython generated from
+# _native.pyx, so no Cython is needed.  optional=True: if the build fails,
+# the package installs as pure Python and falls back to carmik._kernels.pure.
+setup(
+    ext_modules=[
+        Extension(
+            "carmik._kernels._native",
+            ["src/carmik/_kernels/_native.c"],
+            extra_compile_args=["-O2"],
+            optional=True,
         )
-    except ImportError:
-        # No Cython at build time: install as pure Python. The package
-        # falls back to carmik._kernels.pure at import.
-        ext_modules = []
-
-setup(ext_modules=ext_modules)
+    ]
+)

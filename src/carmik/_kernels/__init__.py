@@ -1,14 +1,20 @@
 """Kernel backend selection.
 
-The hot inner loops (sieving, Miller-Rabin sweeps, the census scan,
+The hot inner loops (sieving, Miller-Rabin, the census scan, Brent rho,
 arithmetic-progression scans, subset-product search) exist twice: a
-compiled Cython extension and a pure-Python twin with identical semantics.
-The twins share values, not algorithms: the pure AP scan reads primality
-from a sieve table, while the compiled one runs Miller-Rabin on every
-progression term; the pure Miller-Rabin screens with one gcd and uses only
-the bases n's size needs, while the compiled one trial-divides by its 12
-bases and then runs all 12.  The compiled backend is preferred when
-importable; set CARMIK_PURE=1 to force the fallback.
+compiled extension, built from the tracked ``_native.c`` that Cython
+generated from ``_native.pyx``, and the pure-Python twin in ``pure.py``,
+with identical values.  The backend contract is exactly the set of names
+the library reads as ``backend.<name>``; ``tests/test_kernels.py`` checks
+that both twins define each of them.
+
+The twins share values, not algorithms: the pure Miller-Rabin screens with
+one gcd and uses only the bases n's size needs, while the compiled one
+trial-divides by its 12 bases and then runs all 12.  The pure AP scan
+reads primality from a sieve table and beats the compiled one, which runs
+Miller-Rabin on every progression term, so ``ap_search.heath_brown_scan``
+calls ``pure.ap_max_scan`` on either backend.  The compiled backend is
+preferred when importable; set CARMIK_PURE=1 to force the fallback.
 ``benchmarks/bench_kernels.py`` compares the two.
 """
 

@@ -1,9 +1,12 @@
 """Pure-Python kernel backend.
 
-Function-for-function twin of the compiled backend in ``_native.pyx``.
-Everything here is exact integer arithmetic and deterministic; the two
-backends must return identical values for identical arguments, which
-``tests/test_native_parity.py`` enforces.
+Twin of the compiled backend in ``_native.pyx`` for every kernel the
+library reads as ``backend.<name>``, the backend contract.  Everything here
+is exact integer arithmetic and deterministic; the two backends must
+return identical values for identical arguments, which
+``tests/test_native_parity.py`` enforces.  The library calls
+``ap_max_scan``, whose sieve table beats the compiled scan's Miller-Rabin,
+and ``prefix_run_witness`` from here on either backend.
 
 Arguments fit in an unsigned 64-bit word, except where ``carmik.arith``
 hands this module larger operands: ``is_prime_u64`` with its own base set
@@ -169,35 +172,6 @@ def carmichael_census(limit):
         if good:
             out.append((n, k))
     return out
-
-
-def fermat_all_bases(n):
-    """True iff a**n == a (mod n) for every a in [0, n)."""
-    for a in range(n):
-        if pow(a, n, n) != a:
-            return False
-    return True
-
-
-def all_units_pow_one(n, exponent):
-    """True iff a**exponent == 1 (mod n) for every a coprime to n."""
-    for a in range(1, n):
-        if gcd(a, n) == 1 and pow(a, exponent, n) != 1:
-            return False
-    return True
-
-
-def first_unit_failing(n, exponent):
-    """Smallest unit a mod n with a**exponent != 1 (mod n); 0 if none."""
-    for a in range(1, n):
-        if gcd(a, n) == 1 and pow(a, exponent, n) != 1:
-            return a
-    return 0
-
-
-def count_coprime(n):
-    """Brute-force totient: #{a in [1, n] : gcd(a, n) = 1}."""
-    return sum(1 for a in range(1, n + 1) if gcd(a, n) == 1)
 
 
 def first_prime_in_ap(modulus, residue, cap):

@@ -91,13 +91,20 @@ def _cmd_census(args) -> int:
     return EXIT_OK
 
 
+def _read(path: Path) -> str:
+    try:
+        return path.read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
+
+
 def _cmd_construct(args) -> int:
-    rc = pipeline.parse_config(args.config.read_text())
+    rc = pipeline.parse_config(_read(args.config))
     workdir = args.workdir
     workdir.mkdir(parents=True, exist_ok=True)
     timings: dict[str, float] = {}
     if args.resume:
-        instance = ConstructionInstance.parse(args.resume.read_text())
+        instance = ConstructionInstance.parse(_read(args.resume))
         print(f"resumed instance {pipeline.instance_fingerprint(instance)}")
     else:
         instance = pipeline.harvest_instance(rc.construction, timings)

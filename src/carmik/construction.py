@@ -93,6 +93,26 @@ def _parse_bool(text: str) -> bool:
     return text.lower() in ("1", "true", "yes")
 
 
+def read_key_values(text: str, error: type[Exception]) -> dict[str, str]:
+    """Keys and values of a flat "key = value" document with '#' comments.
+
+    A line without '=' or a repeated key raises ``error`` naming the line.
+    """
+    raw: dict[str, str] = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        key, sep, value = stripped.partition("=")
+        if not sep:
+            raise error(f"line {lineno}: expected 'key = value', got {line!r}")
+        key = key.strip()
+        if key in raw:
+            raise error(f"line {lineno}: duplicate key {key!r}")
+        raw[key] = value.strip()
+    return raw
+
+
 def text_parsers(cls) -> dict[str, typing.Callable[[str], object]]:
     """Field name -> parser of its text form, from a config dataclass's annotations.
 
@@ -427,13 +447,7 @@ class ConstructionInstance:
 
     @classmethod
     def parse(cls, text: str) -> "ConstructionInstance":
-        fields: dict[str, str] = {}
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            fields[key.strip()] = value.strip()
+        fields = read_key_values(text, DomainError)
         if fields.get("format") != "carmik-instance-v1":
             raise DomainError("unrecognized instance document")
 

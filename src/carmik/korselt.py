@@ -2,9 +2,10 @@
 
 The certifier is factorization-based: n qualifies iff it is composite,
 squarefree, and p - 1 | n - 1 for every prime p | n.  The census scans
-every candidate the same way over a smallest-prime-factor table.  The
-Fermat condition (a**n == a mod n for all a) is deliberately kept as an
-independent oracle for tests, never as the primary method.
+every candidate the same way over a smallest-prime-factor table, the
+backend's ``carmichael_census`` kernel.  The Fermat condition is only
+probed here, at seeded random bases (``fermat_probe``); the exhaustive
+all-bases oracle that cross-checks the certifier lives with the tests.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ __all__ = [
     "is_carmichael",
     "k_invariant",
     "census",
-    "fermat_carmichael_oracle",
     "fermat_probe",
 ]
 
@@ -127,17 +127,6 @@ def census(limit: int, nu_filter: int | None = None) -> list[tuple[int, int]]:
     if nu_filter is not None:
         rows = [(n, k) for n, k in rows if k == nu_filter]
     return rows
-
-
-def fermat_carmichael_oracle(n: int) -> bool:
-    """Independent oracle: n is composite and a**n == a (mod n) for ALL a < n.
-
-    Exhaustive over every base, so only sensible for small n; used by the
-    test suite to cross-check the Korselt path.
-    """
-    if n < 2 or arith.is_prime(n):
-        return False
-    return backend.fermat_all_bases(n)
 
 
 def fermat_probe(n: int, bases: int = 200, seed: int = 0) -> bool:

@@ -32,6 +32,7 @@ from .construction import (
     split_Q,
     verify_pairwise_gcd,
     squarefree_product,
+    read_key_values,
     text_parsers,
     zero_sum_modulus,
 )
@@ -83,18 +84,7 @@ def parse_config(text: str) -> RunConfig:
     The keys are the fields of ConstructionConfig and RunConfig, typed by
     their annotations; unknown keys are rejected.
     """
-    raw: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        key, sep, value = stripped.partition("=")
-        if not sep:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
-        key = key.strip()
-        if key in raw:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        raw[key] = value.strip()
+    raw = read_key_values(text, ConfigError)
     construction = text_parsers(ConstructionConfig)
     run = text_parsers(RunConfig)
     del run["construction"]

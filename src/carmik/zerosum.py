@@ -326,12 +326,13 @@ def find_product_one_subsequence(
         else:
             strategy = "dlog"
 
+    small = m < arith.KERNEL_BOUND
     if strategy == "exhaustive":
-        impl = backend if m < arith.KERNEL_BOUND else pure
-        status, witness = impl.subset_witness_exhaustive(reduced, m, node_cap)
+        search = backend.subset_witness_exhaustive if small else pure.subset_witness_exhaustive
+        status, witness = search(reduced, m, node_cap)
     elif strategy == "mitm":
-        impl = backend if m < arith.KERNEL_BOUND else pure
-        status, witness = impl.subset_witness_mitm(reduced, m, table_cap)
+        search = backend.subset_witness_mitm if small else pure.subset_witness_mitm
+        status, witness = search(reduced, m, table_cap)
     else:
         witness = _dlog_walk(reduced, fi if fi is not None else arith.FactoredInteger.of(m), state_cap)
         status = pure.FOUND if witness is not None else pure.NO_WITNESS

@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 
 from carmik import ap_search
+from carmik._kernels import pure
 from carmik.errors import DomainError, InvalidClassError, SearchExhaustedError
 
 
@@ -77,6 +78,13 @@ class TestScan:
         table = ap_search.heath_brown_scan(2, 40, exponent=2.0)
         assert table.consistent_max.modulus >= ap_search.SMALL_MODULUS_CUTOFF
         assert table.global_max.ratio >= table.consistent_max.ratio
+
+    def test_scan_runs_the_pure_kernel_on_either_backend(self, monkeypatch):
+        calls = []
+        scan = pure.ap_max_scan
+        monkeypatch.setattr(pure, "ap_max_scan", lambda *args: calls.append(args) or scan(*args))
+        table = ap_search.heath_brown_scan(4, 4)
+        assert len(calls) == 1 and table.global_max.p == 5
 
     def test_no_misses_with_default_caps_to_200(self):
         table = ap_search.heath_brown_scan(2, 200)

@@ -142,6 +142,8 @@ class TestConstruct:
         docs = {
             "'nu'": "format = carmik-instance-v1\nz = 74\n",
             "'k1'": text.replace(k1_line, "k1 = abc"),
+            "duplicate key 'nu'": text + "nu = 4\n",
+            "expected 'key = value'": text + "P3\n",
         }
         for field, doc in docs.items():
             path = tmp_path / "broken.txt"
@@ -152,6 +154,18 @@ class TestConstruct:
             err = capsys.readouterr().err
             assert code == 3
             assert err.startswith("error: ") and field in err
+
+    @pytest.mark.parametrize("flag", ["--config", "--resume"])
+    def test_missing_file_exit_code(self, tmp_path, capsys, flag):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(NU2_CONFIG)
+        missing = tmp_path / "missing.txt"
+        argv = ["construct", "--config", str(cfg), "--workdir", str(tmp_path / "out")]
+        argv += [flag, str(missing)]
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith(f"error: cannot read {missing}")
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -415,6 +415,14 @@ class TestInstance:
             with pytest.raises(DomainError, match=f"no '{key}' line"):
                 cons.ConstructionInstance.parse(without)
 
+    def test_document_lines_are_read_strictly(self):
+        text = harvested_instance().serialize()
+        last = len(text.splitlines()) + 1
+        with pytest.raises(DomainError, match=f"line {last}: duplicate key 'nu'"):
+            cons.ConstructionInstance.parse(text + "nu = 4\n")
+        with pytest.raises(DomainError, match=f"line {last}: expected 'key = value'"):
+            cons.ConstructionInstance.parse(text + "P3\n")
+
 
 class TestCombinatorialIdentity:
     def test_binomial_dominates_power_exactly(self):

@@ -4,6 +4,7 @@ These run on every machine; ``test_native_parity.py`` compares the
 compiled backend with the pure one where the extension is built.
 """
 
+import hashlib
 import math
 import re
 from pathlib import Path
@@ -17,12 +18,31 @@ from carmik._kernels import pure
 from carmik.ap_search import default_cap
 
 
-def test_pure_defines_every_compiled_kernel():
+KERNELS_DIR = Path(pure.__file__).parent
+
+# sha256 of the _native.pyx that the tracked _native.c was generated from.
+NATIVE_PYX_SHA256 = "d046b940a469bd6856043e084131fa5cdd309e695bb6dfd9aecf4cc3851b9081"
+
+
+def test_native_c_is_generated_from_the_tracked_pyx():
+    digest = hashlib.sha256((KERNELS_DIR / "_native.pyx").read_bytes()).hexdigest()
+    assert digest == NATIVE_PYX_SHA256, (
+        "_native.pyx changed: regenerate _native.c with `cython -3` and record the new sha256"
+    )
+
+
+def test_both_backends_define_the_contract():
+    # The contract is every name the library reads as backend.<name>.
     # Checked from the Cython source, so it holds where the extension is not built.
-    source = (Path(pure.__file__).parent / "_native.pyx").read_text()
-    names = re.findall(r"^def (\w+)\(", source, flags=re.MULTILINE)
-    assert "is_prime_u64" in names  # the pattern finds the kernels
-    assert [n for n in names if not callable(getattr(pure, n, None))] == []
+    package = KERNELS_DIR.parent
+    contract = set()
+    for path in package.rglob("*.py"):
+        contract |= set(re.findall(r"\bbackend\.(\w+)", path.read_text()))
+    assert {"is_prime_u64", "carmichael_census", "subset_witness_mitm"} <= contract
+    source = (KERNELS_DIR / "_native.pyx").read_text()
+    compiled = set(re.findall(r"^(?:def )?(\w+)(?:\(| = )", source, flags=re.MULTILINE))
+    assert sorted(contract - compiled) == []
+    assert sorted(n for n in contract if not hasattr(pure, n)) == []
 
 
 # psi_k (OEIS A014233) with no prime factor <= 211: the least odd composite
