@@ -15,8 +15,8 @@ integer arithmetic at any size.
 
 The product-one subset walk lives here once, as ``_product_one_walk``:
 ``subset_witness_exhaustive`` is its first hit, and
-``zerosum.enumerate_product_one_subsets`` runs it with a size window and a
-count cap on either backend.
+``zerosum.enumerate_product_one_subsets`` runs it with a count cap on
+either backend.
 """
 
 from math import gcd, isqrt, prod
@@ -310,15 +310,15 @@ def prefix_run_witness(elements, modulus):
     return None
 
 
-def _product_one_walk(elements, modulus, len_min, len_max, count_cap, node_cap):
+def _product_one_walk(elements, modulus, count_cap, node_cap):
     """Preorder walk over index subsets, indices ascending, for product 1.
 
-    Subsets grow to at most len_max indices; each with product 1 and at
-    least len_min indices is recorded, in lexicographic order, and the walk
-    goes on below it.  Returns (status, found, nodes): BUDGET_EXCEEDED once
-    node_cap > 0 nodes were visited, else FOUND if found is nonempty (the
-    walk stops at the count_cap-th; None: no cap), else NO_WITNESS.  nodes
-    counts the visited nodes, the one past node_cap included.
+    Each nonempty subset with product 1 is recorded, in lexicographic
+    order, and the walk goes on below it.  Returns (status, found, nodes):
+    BUDGET_EXCEEDED once node_cap > 0 nodes were visited, else FOUND if
+    found is nonempty (the walk stops at the count_cap-th; None: no cap),
+    else NO_WITNESS.  nodes counts the visited nodes, the one past node_cap
+    included.
     """
     n = len(elements)
     reduced = [e % modulus for e in elements]
@@ -329,16 +329,14 @@ def _product_one_walk(elements, modulus, len_min, len_max, count_cap, node_cap):
     i = 0
     nodes = 0
     while True:
-        # len(path) <= i, so i < len_max settles the size test without len()
-        # whenever the window cannot bind, as in every first-hit search.
-        if i < n and (i < len_max or len(path) < len_max):
+        if i < n:
             nodes += 1
             if node_cap and nodes > node_cap:
                 return BUDGET_EXCEEDED, found, nodes
             p = prods[-1] * reduced[i] % modulus
             path.append(i)
             prods.append(p)
-            if p == one and len(path) >= len_min:
+            if p == one:
                 found.append(tuple(path))
                 if len(found) == count_cap:
                     return FOUND, found, nodes
@@ -358,7 +356,7 @@ def subset_witness_exhaustive(elements, modulus, node_cap):
     complete traversal, or (BUDGET_EXCEEDED, None) once node_cap > 0 nodes
     were visited.  It is the first hit of ``_product_one_walk``.
     """
-    status, found, _ = _product_one_walk(elements, modulus, 1, len(elements), 1, node_cap)
+    status, found, _ = _product_one_walk(elements, modulus, 1, node_cap)
     return status, (found[0] if status == FOUND else None)
 
 

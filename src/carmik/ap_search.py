@@ -9,7 +9,7 @@ kept out of the "consistent" summary statistic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ._kernels import backend, pure
 from .errors import DomainError, InvalidClassError, SearchExhaustedError
@@ -61,15 +61,11 @@ class ApQuery:
 
 @dataclass(frozen=True)
 class ApResult:
-    """Least prime found for a query, with normalized ratios.
-
-    ratio_a maps an exponent A to p / (l * (ln l)**A).
-    """
+    """Least prime found for a query; ratio(A) is p / (l * (ln l)**A)."""
 
     query: ApQuery
     p: int
     steps: int
-    ratio_a: dict[float, float] = field(default_factory=dict)
 
     def ratio(self, exponent: float) -> float:
         return _ratio(self.p, self.query.modulus, exponent)
@@ -79,7 +75,6 @@ def first_prime_in_ap(
     modulus: int,
     residue: int,
     cap: int | None = None,
-    exponents: tuple[float, ...] = (2.0,),
 ) -> ApResult:
     """Least prime p == residue (mod modulus), scanning b, b+l, b+2l, ... <= cap.
 
@@ -98,8 +93,7 @@ def first_prime_in_ap(
             cap=cap,
             steps=steps,
         )
-    ratio_a = {a: _ratio(p, modulus, a) for a in exponents}
-    return ApResult(query=query, p=p, steps=steps, ratio_a=ratio_a)
+    return ApResult(query=query, p=p, steps=steps)
 
 
 @dataclass(frozen=True)

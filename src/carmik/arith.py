@@ -12,8 +12,6 @@ A014233); the compiled kernel trial-divides by its 12 bases and runs all
 ``LARGE_BASES`` (the first 25 primes), after the same gcd: a probable-prime
 method, but a reproducible one, and the range this package actually
 exercises is cross-checked exactly by the test suite.
-``exhaustive=True`` forces trial division instead, for independent
-verification at small sizes.
 
 Factorization is trial division over a cached small-prime list followed by
 Brent's cycle method, recursing on cofactors: the backend's ``brent_factor``
@@ -107,19 +105,10 @@ class FactoredInteger:
         return self.value
 
 
-def is_prime(n: int, *, exhaustive: bool = False) -> bool:
+def is_prime(n: int) -> bool:
     """Exact below 2**63; reproducible probable-prime above (see module doc)."""
     if n < 2:
         return False
-    if exhaustive:
-        if n % 2 == 0:
-            return n == 2
-        f = 3
-        while f * f <= n:
-            if n % f == 0:
-                return False
-            f += 2
-        return True
     if n < KERNEL_BOUND:
         return backend.is_prime_u64(n)
     return pure.is_prime_u64(n, LARGE_BASES)

@@ -103,16 +103,21 @@ def _cmd_construct(args) -> int:
     workdir = args.workdir
     workdir.mkdir(parents=True, exist_ok=True)
     timings: dict[str, float] = {}
-    if args.resume:
-        instance = ConstructionInstance.parse(_read(args.resume))
-        print(f"resumed instance {pipeline.instance_fingerprint(instance)}")
-    else:
-        instance = pipeline.harvest_instance(rc.construction, timings)
-        (workdir / "instance.txt").write_text(instance.serialize())
-        print(f"instance {pipeline.instance_fingerprint(instance)}")
-    print(f"j0={instance.j0} |Q|={len(instance.q1)}+{len(instance.q2)} "
-          f"k1={instance.k1} k2={instance.k2} |P1|={len(instance.p1)} |P2|={len(instance.p2)}")
-    batch = pipeline.complete_batch(instance, rc, timings)
+    try:
+        if args.resume:
+            instance = ConstructionInstance.parse(_read(args.resume))
+            print(f"resumed instance {pipeline.instance_fingerprint(instance)}")
+        else:
+            instance = pipeline.harvest_instance(rc.construction, timings)
+            (workdir / "instance.txt").write_text(instance.serialize())
+            print(f"instance {pipeline.instance_fingerprint(instance)}")
+        print(f"j0={instance.j0} |Q|={len(instance.q1)}+{len(instance.q2)} "
+              f"k1={instance.k1} k2={instance.k2} |P1|={len(instance.p1)} |P2|={len(instance.p2)}")
+        batch = pipeline.complete_batch(instance, rc, timings)
+    except StageError:
+        # The stages that ran, the failed one included, keep their times.
+        pipeline.write_timings(workdir, timings)
+        raise
     paths = pipeline.write_outputs(workdir, batch)
     for cert in batch.certificates:
         factors = "*".join(str(p) for p in cert.factors.primes)

@@ -447,15 +447,17 @@ class ConstructionInstance:
 
     @classmethod
     def parse(cls, text: str) -> "ConstructionInstance":
+        """Read a serialized instance; unknown keys are rejected."""
         fields = read_key_values(text, DomainError)
-        if fields.get("format") != "carmik-instance-v1":
+        if fields.pop("format", None) != "carmik-instance-v1":
             raise DomainError("unrecognized instance document")
 
         def value(key, parse=int):
+            # Each key is read once; whatever is left at the end is unknown.
             if key not in fields:
                 raise DomainError(f"instance document has no {key!r} line")
             try:
-                return parse(fields[key])
+                return parse(fields.pop(key))
             except ValueError as exc:
                 raise DomainError(f"instance field {key!r} is malformed: {exc}") from exc
 
@@ -493,6 +495,8 @@ class ConstructionInstance:
             p1=value("P1", pairs),
             p2=value("P2", pairs),
         )
+        if fields:
+            raise DomainError(f"unknown instance keys: {', '.join(sorted(fields))}")
         instance.verify()
         return instance
 

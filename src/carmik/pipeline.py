@@ -30,7 +30,6 @@ from .construction import (
     search_P,
     select_j0,
     split_Q,
-    verify_pairwise_gcd,
     squarefree_product,
     read_key_values,
     text_parsers,
@@ -53,7 +52,13 @@ __all__ = [
     "run_construction",
     "independent_recheck",
     "write_outputs",
+    "write_timings",
 ]
+
+# Budgets of each family's product-one enumeration: the subsets kept, and
+# the search nodes visited before the zero-sum stage gives up.
+_WITNESS_CAP = 8
+_NODE_CAP = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -61,21 +66,13 @@ class RunConfig:
     """A ConstructionConfig plus the zero-sum and output knobs of one run."""
 
     construction: ConstructionConfig
-    len_min: int = 1
-    len_max: int = 0  # 0 means |P_i|
-    witness_cap: int = 8
-    node_cap: int = 2_000_000
     target_count: int = 1
     force_zero_sum: bool = False
-    fermat_bases: int = 200
-    seed: int = 0
 
     def __post_init__(self):
-        if min(self.len_min, self.witness_cap, self.node_cap, self.target_count,
-               self.fermat_bases) < 1:
-            raise ConfigError("every cap must be positive")
-        if self.len_max < 0 or self.seed < 0:
-            raise ConfigError("len_max and seed must be >= 0")
+        # Certificates come from pairs of at most _WITNESS_CAP witnesses each.
+        if not 1 <= self.target_count <= _WITNESS_CAP**2:
+            raise ConfigError(f"target_count must lie in [1, {_WITNESS_CAP**2}]")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -112,10 +109,9 @@ def render_config(rc: RunConfig) -> str:
 
 @dataclass(frozen=True)
 class CarmichaelBatch:
-    """One run's harvest, witnesses, and certified outputs."""
+    """One run's harvest, certified outputs, and stage timings."""
 
     instance: ConstructionInstance
-    pairs: tuple[tuple[zerosum.ZeroSumWitness, zerosum.ZeroSumWitness], ...]
     certificates: tuple[korselt.CarmichaelCertificate, ...]
     timings: dict[str, float] = field(default_factory=dict)
 
@@ -179,9 +175,6 @@ def harvest_instance(cc: ConstructionConfig, timings: dict[str, float] | None = 
     with _stage(timings, "search_P2", "family-2"):
         k2, p2 = search_P(l2, l1, cc.nu, cc.omega_d, cc.k_cap, cc.min_count, k1=k1)
     with _stage(timings, "verify_ledger"):
-        ok, bad = verify_pairwise_gcd(p1, p2, cc.nu)
-        if not ok:
-            raise InternalConsistencyError(f"pairwise gcd check failed at {bad}")
         instance = ConstructionInstance(
             config=cc, j_product=j_product, j0=j0, q1=q1, q2=q2,
             l1=l1, l2=l2, k1=k1, k2=k2, p1=p1, p2=p2,
@@ -190,7 +183,7 @@ def harvest_instance(cc: ConstructionConfig, timings: dict[str, float] | None = 
     return instance
 
 
-def _family_witnesses(family, modulus: arith.FactoredInteger, rc: RunConfig, which: int):
+def _family_witnesses(family, modulus: arith.FactoredInteger, force: bool, which: int):
     """Product-one subsets of one family mod M, or a stage error."""
     m_value = modulus.value
     bound_log = zerosum.davenport_upper_bound_log(modulus)
@@ -203,7 +196,7 @@ def _family_witnesses(family, modulus: arith.FactoredInteger, rc: RunConfig, whi
         raise StageError(f"zero-sum-{which}", "a family prime divides the modulus")
     bound_text = f"= {threshold}" if threshold is not None else f"~ exp({bound_log:.1f})"
     if threshold is None or len(primes) < threshold:
-        if not rc.force_zero_sum:
+        if not force:
             raise StageError(
                 f"zero-sum-{which}",
                 f"insufficient primes: family size {len(primes)} "
@@ -212,15 +205,9 @@ def _family_witnesses(family, modulus: arith.FactoredInteger, rc: RunConfig, whi
                 threshold=threshold,
                 bound_log=bound_log,
             )
-    len_max = rc.len_max if rc.len_max else len(primes)
     try:
         witnesses = zerosum.enumerate_product_one_subsets(
-            [p % m_value for p in primes],
-            m_value,
-            len_min=rc.len_min,
-            len_max=len_max,
-            count_cap=rc.witness_cap,
-            node_cap=rc.node_cap,
+            [p % m_value for p in primes], m_value, count_cap=_WITNESS_CAP, node_cap=_NODE_CAP
         )
     except SearchExhaustedError as exc:
         raise StageError(
@@ -243,17 +230,24 @@ def complete_batch(
     rc: RunConfig,
     timings: dict[str, float] | None = None,
 ) -> CarmichaelBatch:
-    """Zero-sum, assembly, and certification stages for a harvested instance."""
+    """Zero-sum, assembly, and certification stages for a harvested instance.
+
+    The instance must have been harvested under rc's construction config;
+    a ConfigError names the keys that differ.
+    """
     cc = instance.config
+    if rc.construction != cc:
+        differ = [f.name for f in dc_fields(ConstructionConfig)
+                  if getattr(rc.construction, f.name) != getattr(cc, f.name)]
+        raise ConfigError(f"the config and the instance differ in {', '.join(differ)}")
     with _stage(timings, "zero_sum"):
         modulus = zero_sum_modulus(instance)
-        w1s = _family_witnesses(instance.p1, modulus, rc, 1)
-        w2s = _family_witnesses(instance.p2, modulus, rc, 2)
+        w1s = _family_witnesses(instance.p1, modulus, rc.force_zero_sum, 1)
+        w2s = _family_witnesses(instance.p2, modulus, rc.force_zero_sum, 2)
 
     p1_primes = [p for p, _ in instance.p1]
     p2_primes = [p for p, _ in instance.p2]
     certificates = []
-    pairs = []
     with _stage(timings, "certify"):
         for w1 in w1s:
             for w2 in w2s:
@@ -269,10 +263,8 @@ def complete_batch(
                     raise InternalConsistencyError(
                         f"assembled n = {n} failed certification despite a valid ledger"
                     )
-                independent_recheck(n, cc.nu, bases=rc.fermat_bases, seed=rc.seed,
-                                    effort_digits=cc.factor_digits)
+                independent_recheck(n, cc.nu, effort_digits=cc.factor_digits)
                 certificates.append(cert)
-                pairs.append((w1, w2))
                 if len(certificates) >= rc.target_count:
                     break
             if len(certificates) >= rc.target_count:
@@ -285,7 +277,6 @@ def complete_batch(
         )
     return CarmichaelBatch(
         instance=instance,
-        pairs=tuple(pairs),
         certificates=tuple(certificates),
         timings=dict(timings or {}),
     )
@@ -298,18 +289,12 @@ def run_construction(rc: RunConfig) -> CarmichaelBatch:
     return complete_batch(instance, rc, timings)
 
 
-def independent_recheck(
-    n: int,
-    nu: int,
-    bases: int = 200,
-    seed: int = 0,
-    effort_digits: int | None = None,
-) -> None:
+def independent_recheck(n: int, nu: int, effort_digits: int | None = None) -> None:
     """Re-verify a certified n from scratch.
 
-    Fresh factorization through the Korselt conditions, the stated number of
-    seeded random Fermat bases, and the K-invariant check.  Raises
-    InternalConsistencyError on any failure.
+    Fresh factorization through the Korselt conditions, the K-invariant
+    check, and ``korselt.fermat_probe``'s seeded random Fermat bases.
+    Raises InternalConsistencyError on any failure.
     """
     verdict = korselt.is_carmichael(n, effort_digits=effort_digits)
     if not verdict:
@@ -318,7 +303,7 @@ def independent_recheck(
         raise InternalConsistencyError(
             f"recheck found K = {verdict.k_invariant}, expected {nu}"
         )
-    if not korselt.fermat_probe(n, bases=bases, seed=seed):
+    if not korselt.fermat_probe(n):
         raise InternalConsistencyError(f"a Fermat base rejected {n}")
 
 
@@ -332,6 +317,11 @@ def write_outputs(workdir: str | Path, batch: CarmichaelBatch) -> dict[str, Path
     wd.mkdir(parents=True, exist_ok=True)
     cert_path = wd / "certificates.jsonl"
     cert_path.write_text("".join(line + "\n" for line in batch.records()))
-    timing_path = wd / "timings.json"
-    timing_path.write_text(json.dumps(batch.timings, indent=2) + "\n")
-    return {"certificates": cert_path, "timings": timing_path}
+    return {"certificates": cert_path, "timings": write_timings(wd, batch.timings)}
+
+
+def write_timings(workdir: str | Path, timings: dict[str, float]) -> Path:
+    """Write the stage timings to timings.json under workdir, also for a failed run."""
+    path = Path(workdir) / "timings.json"
+    path.write_text(json.dumps(timings, indent=2) + "\n")
+    return path

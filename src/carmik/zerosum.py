@@ -39,9 +39,12 @@ __all__ = [
 EXHAUSTIVE_MAX = 24
 MITM_MAX = 48
 
-DEFAULT_NODE_CAP = 50_000_000
-DEFAULT_TABLE_CAP = 4_194_304
-DEFAULT_STATE_CAP = 2_000_000
+# Budgets of find_product_one_subsequence, read at call time: search nodes
+# of the exhaustive walk, table entries of meet-in-the-middle, and lattice
+# states of the discrete-log walk.
+_NODE_CAP = 50_000_000
+_TABLE_CAP = 4_194_304
+_STATE_CAP = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -296,14 +299,12 @@ def find_product_one_subsequence(
     elements,
     modulus: int | arith.FactoredInteger,
     strategy: str = "auto",
-    node_cap: int = DEFAULT_NODE_CAP,
-    table_cap: int = DEFAULT_TABLE_CAP,
-    state_cap: int = DEFAULT_STATE_CAP,
 ) -> ZeroSumWitness | None:
     """A nonempty index subset whose product is 1 mod modulus, or None.
 
     Every element must be a unit mod modulus.  None means the search space
-    was covered completely without finding a witness; a blown budget raises
+    was covered completely without finding a witness; a blown budget
+    (``_NODE_CAP``, ``_TABLE_CAP`` or ``_STATE_CAP``, by strategy) raises
     SearchExhaustedError instead of guessing.
     """
     if strategy not in ("auto", "exhaustive", "mitm", "dlog"):
@@ -329,12 +330,12 @@ def find_product_one_subsequence(
     small = m < arith.KERNEL_BOUND
     if strategy == "exhaustive":
         search = backend.subset_witness_exhaustive if small else pure.subset_witness_exhaustive
-        status, witness = search(reduced, m, node_cap)
+        status, witness = search(reduced, m, _NODE_CAP)
     elif strategy == "mitm":
         search = backend.subset_witness_mitm if small else pure.subset_witness_mitm
-        status, witness = search(reduced, m, table_cap)
+        status, witness = search(reduced, m, _TABLE_CAP)
     else:
-        witness = _dlog_walk(reduced, fi if fi is not None else arith.FactoredInteger.of(m), state_cap)
+        witness = _dlog_walk(reduced, fi if fi is not None else arith.FactoredInteger.of(m), _STATE_CAP)
         status = pure.FOUND if witness is not None else pure.NO_WITNESS
 
     if status == pure.BUDGET_EXCEEDED:
@@ -360,12 +361,10 @@ def _checked(indices, reduced, m) -> ZeroSumWitness:
 def enumerate_product_one_subsets(
     elements,
     modulus: int | arith.FactoredInteger,
-    len_min: int = 1,
-    len_max: int | None = None,
     count_cap: int | None = None,
     node_cap: int | None = None,
 ) -> list[ZeroSumWitness]:
-    """All product-one index subsets with len_min <= size <= len_max.
+    """All nonempty product-one index subsets.
 
     Enumeration order is lexicographic on the index tuples and the result
     is truncated at count_cap (None: no cap).  node_cap bounds the number of
@@ -376,14 +375,9 @@ def enumerate_product_one_subsets(
     """
     m = int(modulus)
     reduced = _validate_units(list(elements), m)
-    if len_min < 1:
-        raise DomainError("len_min must be >= 1")
     if count_cap is not None and count_cap < 1:
         raise DomainError("count_cap must be >= 1")
-    hi = len(reduced) if len_max is None else min(len_max, len(reduced))
-    if len_min > hi:
-        return []
-    status, found, nodes = pure._product_one_walk(reduced, m, len_min, hi, count_cap, node_cap)
+    status, found, nodes = pure._product_one_walk(reduced, m, count_cap, node_cap)
     if status == pure.BUDGET_EXCEEDED:
         raise SearchExhaustedError("enumeration budget exhausted", nodes=nodes, found=len(found))
     return [ZeroSumWitness(indices=indices, product_check=1) for indices in found]

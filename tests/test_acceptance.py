@@ -185,7 +185,7 @@ def test_criterion_5_end_to_end_construction(name, nu):
         assert batch.certificates
         for cert in batch.certificates:
             assert cert.k_invariant == nu
-            pipeline.independent_recheck(cert.n, nu, bases=rc.fermat_bases, seed=rc.seed)
+            pipeline.independent_recheck(cert.n, nu)
             assert cert.n in oracle, cert.n
         details.append(f"{label}: {len(batch.certificates)} certificates in {elapsed:.1f}s")
     report(5, True, "; ".join(details))

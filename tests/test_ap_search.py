@@ -25,7 +25,7 @@ class TestFirstPrimeInAp:
         assert r.ratio(2.0) == pytest.approx(5 / (4 * math.log(4) ** 2))
         r = ap_search.first_prime_in_ap(2, 1)
         assert r.p == 3  # scans 1, then 3
-        assert r.ratio_a[2.0] == pytest.approx(3 / (2 * math.log(2) ** 2))
+        assert r.ratio(2.0) == pytest.approx(3 / (2 * math.log(2) ** 2))
 
     def test_invalid_class(self):
         with pytest.raises(InvalidClassError):

@@ -40,10 +40,6 @@ class TestIsPrime:
         for n in range(4000):
             assert arith.is_prime(n) == trial_division_is_prime(n), n
 
-    def test_exhaustive_switch_matches(self):
-        for n in (0, 1, 2, 9, 91, 561, 647, 7919, 104729):
-            assert arith.is_prime(n, exhaustive=True) == arith.is_prime(n)
-
     def test_large_operands(self):
         assert arith.is_prime(2**89 - 1)  # Mersenne prime
         assert not arith.is_prime(2**67 - 1)  # 193707721 * 761838257287
@@ -92,7 +88,7 @@ class TestPrimesInRange:
     def test_high_window(self):
         window = arith.primes_in_range(10**12, 10**12 + 200)
         assert window == [n for n in range(10**12, 10**12 + 201) if arith.is_prime(n)]
-        assert all(arith.is_prime(p, exhaustive=False) for p in window)
+        assert all(sympy.isprime(p) for p in window)
 
 
 class TestFactorize:

@@ -19,6 +19,16 @@ k_cap = 4000
 q_subset_size = 2
 """
 
+# Family 2 is empty mod 3 here, so the harvest stops at search_P2.
+FAMILY2_FAILURE_CONFIG = """z = 200
+nu = 2
+omega_g = 1
+omega_d = 2
+j_cap = 40
+k_cap = 4000
+q_subset_size = 3
+"""
+
 
 class TestCheck:
     def test_positive(self, capsys):
@@ -112,6 +122,31 @@ class TestConstruct:
         assert "insufficient primes" in captured.err
         # The instance document is written before the stage wall.
         assert (tmp_path / "out" / "instance.txt").exists()
+        timings = json.loads((tmp_path / "out" / "timings.json").read_text())
+        assert list(timings)[-1] == "zero_sum"
+
+    def test_failed_harvest_writes_timings_only(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FAMILY2_FAILURE_CONFIG)
+        workdir = tmp_path / "out"
+        assert cli.main(["construct", "--config", str(cfg), "--workdir", str(workdir)]) == 2
+        assert "family-2" in capsys.readouterr().err
+        timings = json.loads((workdir / "timings.json").read_text())
+        assert list(timings) == ["build_J", "populate_R", "select_split", "search_P1", "search_P2"]
+        assert not (workdir / "instance.txt").exists()
+
+    def test_resume_under_another_config_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(NU2_CONFIG)
+        workdir = tmp_path / "out"
+        cli.main(["construct", "--config", str(cfg), "--workdir", str(workdir)])
+        other = tmp_path / "nu4.cfg"
+        other.write_text(NU2_CONFIG.replace("nu = 2", "nu = 4"))
+        capsys.readouterr()
+        code = cli.main(["construct", "--config", str(other), "--workdir", str(workdir),
+                         "--resume", str(workdir / "instance.txt")])
+        assert code == 3
+        assert capsys.readouterr().err == "error: the config and the instance differ in nu\n"
 
     def test_resume_hits_the_same_wall(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -144,6 +179,7 @@ class TestConstruct:
             "'k1'": text.replace(k1_line, "k1 = abc"),
             "duplicate key 'nu'": text + "nu = 4\n",
             "expected 'key = value'": text + "P3\n",
+            "unknown instance keys: bogus": text + "bogus = 1\n",
         }
         for field, doc in docs.items():
             path = tmp_path / "broken.txt"

@@ -1,11 +1,15 @@
+import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from carmik import korselt, pipeline
 from carmik.construction import ConstructionConfig, ConstructionInstance
 from carmik.errors import ConfigError, InternalConsistencyError, SearchExhaustedError, StageError
-from carmik.zerosum import ZeroSumWitness
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 BASE_CONFIG = """
 # two-family run, bucket at z = 74
@@ -33,6 +37,25 @@ class TestParseConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config key"):
             pipeline.parse_config("z = 74\nnu = 2\nfoo = 1\n")
+
+    @pytest.mark.parametrize(
+        "key", ["len_min", "len_max", "witness_cap", "node_cap", "fermat_bases", "seed"]
+    )
+    def test_removed_keys_are_unknown(self, key):
+        with pytest.raises(ConfigError, match=f"unknown config keys: {key}$"):
+            pipeline.parse_config(f"z = 74\nnu = 2\n{key} = 1\n")
+
+    @pytest.mark.parametrize("count", [0, 65])
+    def test_target_count_out_of_reach_rejected(self, count):
+        with pytest.raises(ConfigError, match=r"target_count must lie in \[1, 64\]"):
+            pipeline.parse_config(f"z = 74\nnu = 2\ntarget_count = {count}\n")
+
+    def test_readme_table_lists_every_key(self):
+        text = README.read_text().split("## Construction configs", 1)[1].split("\n## ", 1)[0]
+        documented = re.findall(r"^\| `(\w+)`", text, flags=re.MULTILINE)
+        rendered = pipeline.render_config(pipeline.parse_config("z = 74\nnu = 2\n"))
+        accepted = [line.split(" = ")[0] for line in rendered.splitlines()]
+        assert sorted(documented) == sorted(accepted)
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
@@ -119,6 +142,15 @@ class TestZeroSumStage:
             pipeline.complete_batch(instance, rc)
         assert "no product-one subset" in str(exc.value)
 
+    def test_config_must_match_the_instance(self):
+        rc = pipeline.parse_config(BASE_CONFIG)
+        instance = pipeline.harvest_instance(rc.construction)
+        other = dataclasses.replace(rc.construction, nu=4, k_cap=100)
+        timings = {}
+        with pytest.raises(ConfigError, match="differ in nu, k_cap$"):
+            pipeline.complete_batch(instance, dataclasses.replace(rc, construction=other), timings)
+        assert timings == {}
+
 
 class TestResume:
     def test_resume_equals_fresh_run(self, tmp_path):
@@ -138,26 +170,24 @@ class TestResume:
 
 class TestRecheck:
     def test_accepts_certified_number(self):
-        pipeline.independent_recheck(561, 2, bases=50, seed=1)
+        pipeline.independent_recheck(561, 2)
 
     def test_rejects_wrong_nu(self):
         with pytest.raises(InternalConsistencyError):
-            pipeline.independent_recheck(561, 4, bases=50, seed=1)
+            pipeline.independent_recheck(561, 4)
 
     def test_rejects_non_carmichael(self):
         with pytest.raises(InternalConsistencyError):
-            pipeline.independent_recheck(9, 2, bases=50, seed=1)
+            pipeline.independent_recheck(9, 2)
 
 
 class TestBatchRecords:
     def test_record_shape_and_determinism(self, tmp_path):
         rc = pipeline.parse_config(BASE_CONFIG)
         instance = pipeline.harvest_instance(rc.construction)
-        w = ZeroSumWitness(indices=(0,), product_check=1)
         cert = korselt.is_carmichael(561)
         batch = pipeline.CarmichaelBatch(
             instance=instance,
-            pairs=((w, w),),
             certificates=(cert,),
             timings={"certify": 0.1},
         )

@@ -11,9 +11,9 @@ from carmik._kernels import pure
 from carmik.errors import DomainError, SearchExhaustedError
 
 
-def brute_subset_count(elements, m, lo, hi):
+def brute_subset_count(elements, m):
     count = 0
-    for size in range(lo, hi + 1):
+    for size in range(1, len(elements) + 1):
         for combo in itertools.combinations(range(len(elements)), size):
             if math.prod(elements[i] for i in combo) % m == 1:
                 count += 1
@@ -121,13 +121,22 @@ class TestFind:
             if w is not None:
                 assert w.verify(elems, m)
 
-    def test_budget_exhaustion_raises(self):
+    def test_budget_exhaustion_raises(self, monkeypatch):
         # Orders of 2 mod 11 never divide subset sizes below 10, so there
         # is no witness and the search must visit every node.
         elems = [2] * 9
         assert zerosum.find_product_one_subsequence(elems, 11) is None
+        monkeypatch.setattr(zerosum, "_NODE_CAP", 10)
         with pytest.raises(SearchExhaustedError):
-            zerosum.find_product_one_subsequence(elems, 11, node_cap=10)
+            zerosum.find_product_one_subsequence(elems, 11)
+
+    @pytest.mark.parametrize("strategy, cap", [("mitm", "_TABLE_CAP"), ("dlog", "_STATE_CAP")])
+    def test_each_strategy_reads_its_budget_at_call_time(self, monkeypatch, strategy, cap):
+        elems = [2] * 9
+        assert zerosum.find_product_one_subsequence(elems, 11, strategy=strategy) is None
+        monkeypatch.setattr(zerosum, cap, 1)
+        with pytest.raises(SearchExhaustedError):
+            zerosum.find_product_one_subsequence(elems, 11, strategy=strategy)
 
     def test_strategies_agree_with_exhaustive(self):
         rng = random.Random(99)
@@ -154,16 +163,11 @@ class TestFind:
 
 
 class TestEnumerate:
-    def test_example_window(self):
-        ws = zerosum.enumerate_product_one_subsets([4, 4, 2, 3], 5, 2, 3)
-        assert [w.indices for w in ws] == [(0, 1), (2, 3)]
-
-    def test_len_min_beyond_input(self):
-        assert zerosum.enumerate_product_one_subsets([2, 3], 5, 3, 4) == []
-
     def test_count_cap_truncates(self):
-        ws = zerosum.enumerate_product_one_subsets([4, 4, 2, 3], 5, 2, 3, count_cap=1)
+        ws = zerosum.enumerate_product_one_subsets([4, 4, 2, 3], 5, count_cap=1)
         assert [w.indices for w in ws] == [(0, 1)]
+        ws = zerosum.enumerate_product_one_subsets([4, 4, 2, 3], 5, count_cap=2)
+        assert [w.indices for w in ws] == [(0, 1), (0, 1, 2, 3)]
 
     def test_count_cap_must_be_positive(self):
         for cap in (0, -1):
@@ -189,10 +193,8 @@ class TestEnumerate:
             m = rng.randrange(3, 500)
             n = rng.randrange(1, 15)
             elems = random_units(rng, m, n)
-            lo = rng.randrange(1, n + 1)
-            hi = rng.randrange(lo, n + 1)
-            ws = zerosum.enumerate_product_one_subsets(elems, m, lo, hi)
-            assert len(ws) == brute_subset_count(elems, m, lo, hi)
+            ws = zerosum.enumerate_product_one_subsets(elems, m)
+            assert len(ws) == brute_subset_count(elems, m)
 
     def test_node_budget(self):
         with pytest.raises(SearchExhaustedError):
@@ -226,14 +228,11 @@ def reference_exhaustive(elements, modulus, node_cap):
             prods.pop()
 
 
-def reference_enumerate(elements, m, len_min=1, len_max=None, count_cap=None, node_cap=None):
+def reference_enumerate(elements, m, count_cap=None, node_cap=None):
     """enumerate_product_one_subsets as it was before it shared its walk,
-    for units mod m >= 2 and len_min >= 1."""
+    without its length window, for units mod m >= 2."""
     reduced = [e % m for e in elements]
     n = len(reduced)
-    hi = n if len_max is None else min(len_max, n)
-    if len_min > hi:
-        return []
     one = 1 % m
     out = []
     path = []
@@ -241,7 +240,7 @@ def reference_enumerate(elements, m, len_min=1, len_max=None, count_cap=None, no
     i = 0
     nodes = 0
     while True:
-        if i < n and len(path) < hi:
+        if i < n:
             nodes += 1
             if node_cap and nodes > node_cap:
                 raise SearchExhaustedError(
@@ -250,7 +249,7 @@ def reference_enumerate(elements, m, len_min=1, len_max=None, count_cap=None, no
             p = prods[-1] * reduced[i] % m
             path.append(i)
             prods.append(p)
-            if p == one and len(path) >= len_min:
+            if p == one:
                 out.append(zerosum.ZeroSumWitness(indices=tuple(path), product_check=p))
                 if count_cap is not None and len(out) >= count_cap:
                     return out
@@ -298,14 +297,12 @@ class TestProductOneWalk:
     @settings(deadline=None, max_examples=400)
     @given(
         unit_sequences(),
-        st.integers(1, 5),
-        st.none() | st.integers(0, 14),
         st.none() | st.integers(1, 6),
         st.none() | st.just(0) | st.integers(1, 300),
     )
-    def test_enumerate_matches_its_former_loop(self, case, len_min, len_max, count_cap, node_cap):
+    def test_enumerate_matches_its_former_loop(self, case, count_cap, node_cap):
         units, m = case
-        args = (units, m, len_min, len_max, count_cap, node_cap)
+        args = (units, m, count_cap, node_cap)
         assert enumerate_outcome(zerosum.enumerate_product_one_subsets, *args) == enumerate_outcome(
             reference_enumerate, *args
         )
