@@ -118,7 +118,7 @@ def _cmd_construct(args) -> int:
         # The stages that ran, the failed one included, keep their times.
         pipeline.write_timings(workdir, timings)
         raise
-    paths = pipeline.write_outputs(workdir, batch)
+    paths = pipeline.write_outputs(workdir, batch, timings)
     for cert in batch.certificates:
         factors = "*".join(str(p) for p in cert.factors.primes)
         print(f"certified n = {cert.n} = {factors} (K = {cert.k_invariant})")

@@ -15,6 +15,7 @@ ascending primes, and the k-search prefers larger families then smaller k.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import typing
 from dataclasses import dataclass
@@ -90,7 +91,12 @@ class ConstructionConfig:
 
 
 def _parse_bool(text: str) -> bool:
-    return text.lower() in ("1", "true", "yes")
+    spelling = text.lower()
+    if spelling in ("1", "true", "yes"):
+        return True
+    if spelling in ("0", "false", "no"):
+        return False
+    raise ValueError(f"{text!r} is not a boolean (1/true/yes or 0/false/no)")
 
 
 def read_key_values(text: str, error: type[Exception]) -> dict[str, str]:
@@ -116,8 +122,8 @@ def read_key_values(text: str, error: type[Exception]) -> dict[str, str]:
 def text_parsers(cls) -> dict[str, typing.Callable[[str], object]]:
     """Field name -> parser of its text form, from a config dataclass's annotations.
 
-    A bool is true for "1", "true" or "yes" in any case; any other type
-    parses the text itself and raises ValueError on malformed text.
+    A bool is "1", "true" or "yes", or "0", "false" or "no", in any case;
+    every type raises ValueError on malformed text.
     """
     hints = typing.get_type_hints(cls)
     return {
@@ -365,16 +371,18 @@ class ConstructionInstance:
     """Everything one harvest produced, with its coprimality ledger."""
 
     config: ConstructionConfig
-    j_product: arith.FactoredInteger
     j0: int
     q1: tuple[int, ...]
     q2: tuple[int, ...]
-    l1: arith.FactoredInteger
-    l2: arith.FactoredInteger
     k1: int
     k2: int
     p1: tuple[tuple[int, int], ...]  # (p, d), d | l1
     p2: tuple[tuple[int, int], ...]  # (p, d), d | l2
+
+    # J, L1 and L2 are read from z, Q1 and Q2, never stored beside them.
+    j_product = functools.cached_property(lambda self: build_J(self.config.z))
+    l1 = functools.cached_property(lambda self: squarefree_product(self.q1))
+    l2 = functools.cached_property(lambda self: squarefree_product(self.q2))
 
     def verify(self) -> None:
         """Assert the full invariant ledger; raises on the first violation."""
@@ -382,20 +390,18 @@ class ConstructionInstance:
         nu = cfg.nu
         if set(self.q1) & set(self.q2):
             raise InternalConsistencyError("Q1 and Q2 intersect")
-        if self.l1.value != math.prod(self.q1) or self.l2.value != math.prod(self.q2):
-            raise InternalConsistencyError("L_i is not the product of Q_i")
-        window_lo = (cfg.z + 1) // 2
+        j_value, j_primes = self.j_product.value, self.j_product.primes
         for q in self.q1 + self.q2:
             if not arith.is_prime(q):
                 raise InternalConsistencyError(f"{q} is not prime")
             g, rem = divmod(q - 1, self.j0)
             if rem or math.gcd(self.j0, g) != 1:
                 raise InternalConsistencyError(f"{q} - 1 != g * {self.j0} with (j, g) = 1")
-            gf = arith.factorize(g)
-            if not gf.is_squarefree() or gf.omega != cfg.resolved_omega_g:
-                raise InternalConsistencyError(f"cofactor of {q} has the wrong shape")
-            if any(not (window_lo <= r <= cfg.z) for r in gf.primes):
+            # J is the squarefree product of the window primes, so g needs no factoring.
+            if j_value % g != 0:
                 raise InternalConsistencyError(f"cofactor of {q} leaves the window")
+            if _omega_over(g, j_primes) != cfg.resolved_omega_g:
+                raise InternalConsistencyError(f"cofactor of {q} has the wrong shape")
         ll = self.l1.value * self.l2.value
         for label, k in (("k1", self.k1), ("k2", self.k2)):
             if math.gcd(k, nu * ll) != 1:
@@ -423,7 +429,7 @@ class ConstructionInstance:
         if math.gcd(self.l1.value * self.k1 * nu, self.l2.value * self.k2 * nu) != nu:
             raise InternalConsistencyError("gcd(L1*k1*nu, L2*k2*nu) != nu")
         lam = arith.lcm_all([q - 1 for q in self.q1 + self.q2])
-        if (self.j_product.value * self.j0) % lam != 0:
+        if (j_value * self.j0) % lam != 0:
             raise InternalConsistencyError("lambda(L1*L2) does not divide J*j0")
 
     # -- flat text serialization (resume/inspect format) -----------------
@@ -475,26 +481,20 @@ class ConstructionInstance:
         cfg = ConstructionConfig(
             **{key: value(key, parse) for key, parse in text_parsers(ConstructionConfig).items()}
         )
-        q1 = value("Q1", ints)
-        q2 = value("Q2", ints)
-        j_product = build_J(cfg.z)
-        if value("J") != j_product.value:
-            raise DomainError(f"J is not the window product for z = {cfg.z}")
-        if value("J_primes", str) != ",".join(str(p) for p in j_product.primes):
-            raise DomainError(f"J_primes are not the window primes for z = {cfg.z}")
         instance = cls(
             config=cfg,
-            j_product=j_product,
             j0=value("j0"),
-            q1=q1,
-            q2=q2,
-            l1=squarefree_product(q1),
-            l2=squarefree_product(q2),
+            q1=value("Q1", ints),
+            q2=value("Q2", ints),
             k1=value("k1"),
             k2=value("k2"),
             p1=value("P1", pairs),
             p2=value("P2", pairs),
         )
+        if value("J") != instance.j_product.value:
+            raise DomainError(f"J is not the window product for z = {cfg.z}")
+        if value("J_primes", str) != ",".join(str(p) for p in instance.j_product.primes):
+            raise DomainError(f"J_primes are not the window primes for z = {cfg.z}")
         if fields:
             raise DomainError(f"unknown instance keys: {', '.join(sorted(fields))}")
         instance.verify()

@@ -1,7 +1,8 @@
 """Carmichael certification, the K-invariant, and a brute-force census.
 
 The certifier is factorization-based: n qualifies iff it is composite,
-squarefree, and p - 1 | n - 1 for every prime p | n.  The census scans
+squarefree, and p - 1 | n - 1 for every prime p | n; a certificate is that
+factorization, built from known primes or by factoring.  The census scans
 every candidate the same way over a smallest-prime-factor table, the
 backend's ``carmichael_census`` kernel.  The Fermat condition is only
 probed here, at seeded random bases (``fermat_probe``); the exhaustive
@@ -29,19 +30,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CarmichaelCertificate:
-    """Positive Korselt verdict: n, its factorization, K, and the p-1 | n-1
-    checks that were performed (all of which hold)."""
+    """Positive Korselt verdict: the factorization of n, whose primes the
+    builder has proven.  Construction checks Korselt on them; n and K are
+    read from them."""
 
-    n: int
     factors: arith.FactoredInteger
-    k_invariant: int
-    checks: tuple[tuple[int, bool], ...]
 
     def __post_init__(self):
-        if self.n % 2 == 0 or self.factors.omega < 3 or not self.factors.is_squarefree():
-            raise InternalConsistencyError(f"malformed certificate for {self.n}")
-        if any(not flag for _, flag in self.checks) or self.k_invariant % 2 != 0:
-            raise InternalConsistencyError(f"malformed certificate for {self.n}")
+        rejection = _korselt_rejection(self.factors)
+        if rejection is not None or self.factors.omega < 3:
+            reason = "fewer than three primes" if rejection is None else rejection.describe()
+            raise InternalConsistencyError(f"malformed certificate for {self.n}: {reason}")
+
+    @property
+    def n(self) -> int:
+        return self.factors.value
+
+    @property
+    def k_invariant(self) -> int:
+        return k_invariant(self.factors)
 
     def __bool__(self) -> bool:
         return True
@@ -99,19 +106,19 @@ def is_carmichael(
     if arith.is_prime(n):
         return KorseltRejection(n, "prime")
     factors = arith.factorize(n, effort_digits=effort_digits)
-    checks = []
+    rejection = _korselt_rejection(factors)
+    return CarmichaelCertificate(factors) if rejection is None else rejection
+
+
+def _korselt_rejection(factors: arith.FactoredInteger) -> KorseltRejection | None:
+    """The first prime at which Korselt's criterion fails, or None."""
+    n = factors.value
     for p, e in factors.factors:
         if e > 1:
             return KorseltRejection(n, "not squarefree", prime=p)
         if (n - 1) % (p - 1) != 0:
             return KorseltRejection(n, "divisibility", prime=p)
-        checks.append((p, True))
-    return CarmichaelCertificate(
-        n=n,
-        factors=factors,
-        k_invariant=k_invariant(factors),
-        checks=tuple(checks),
-    )
+    return None
 
 
 def census(limit: int, nu_filter: int | None = None) -> list[tuple[int, int]]:

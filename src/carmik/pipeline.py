@@ -18,7 +18,7 @@ import json
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import MISSING, dataclass, field, fields as dc_fields
+from dataclasses import MISSING, dataclass, fields as dc_fields
 from pathlib import Path
 
 from . import arith, korselt, zerosum
@@ -37,6 +37,7 @@ from .construction import (
 )
 from .errors import (
     ConfigError,
+    FactorizationEffortError,
     InternalConsistencyError,
     SearchExhaustedError,
     StageError,
@@ -109,11 +110,10 @@ def render_config(rc: RunConfig) -> str:
 
 @dataclass(frozen=True)
 class CarmichaelBatch:
-    """One run's harvest, certified outputs, and stage timings."""
+    """One run's harvest and its certified outputs."""
 
     instance: ConstructionInstance
     certificates: tuple[korselt.CarmichaelCertificate, ...]
-    timings: dict[str, float] = field(default_factory=dict)
 
     def records(self) -> list[str]:
         """One JSON document per certificate, in a fixed field order."""
@@ -176,8 +176,7 @@ def harvest_instance(cc: ConstructionConfig, timings: dict[str, float] | None = 
         k2, p2 = search_P(l2, l1, cc.nu, cc.omega_d, cc.k_cap, cc.min_count, k1=k1)
     with _stage(timings, "verify_ledger"):
         instance = ConstructionInstance(
-            config=cc, j_product=j_product, j0=j0, q1=q1, q2=q2,
-            l1=l1, l2=l2, k1=k1, k2=k2, p1=p1, p2=p2,
+            config=cc, j0=j0, q1=q1, q2=q2, k1=k1, k2=k2, p1=p1, p2=p2,
         )
         instance.verify()
     return instance
@@ -255,16 +254,7 @@ def complete_batch(
                 s2 = [p2_primes[i] for i in w2.indices]
                 if len(s1) + len(s2) < 3 or set(s1) & set(s2):
                     continue
-                n1 = math.prod(s1)
-                n2 = math.prod(s2)
-                n = n1 * n2
-                cert = korselt.is_carmichael(n, effort_digits=cc.factor_digits)
-                if not cert or cert.k_invariant != cc.nu:
-                    raise InternalConsistencyError(
-                        f"assembled n = {n} failed certification despite a valid ledger"
-                    )
-                independent_recheck(n, cc.nu, effort_digits=cc.factor_digits)
-                certificates.append(cert)
+                certificates.append(_certify(s1 + s2, cc))
                 if len(certificates) >= rc.target_count:
                     break
             if len(certificates) >= rc.target_count:
@@ -275,11 +265,23 @@ def complete_batch(
             f"only {len(certificates)} of {rc.target_count} certificates assembled",
             assembled=len(certificates),
         )
-    return CarmichaelBatch(
-        instance=instance,
-        certificates=tuple(certificates),
-        timings=dict(timings or {}),
-    )
+    return CarmichaelBatch(instance=instance, certificates=tuple(certificates))
+
+
+def _certify(primes: list[int], cc: ConstructionConfig) -> korselt.CarmichaelCertificate:
+    """The certificate of the assembled primes; only the recheck factors n."""
+    for p in primes:
+        if not arith.is_prime(p):
+            raise InternalConsistencyError(f"assembled factor {p} is composite")
+    cert = korselt.CarmichaelCertificate(squarefree_product(tuple(primes)))
+    if cert.k_invariant != cc.nu:
+        raise InternalConsistencyError(f"assembled n = {cert.n} has K = {cert.k_invariant}")
+    try:
+        independent_recheck(cert.n, cc.nu, effort_digits=cc.factor_digits)
+    except FactorizationEffortError as exc:
+        raise StageError("certify", f"recheck: {exc}", digits=len(str(cert.n)),
+                         factor_digits=cc.factor_digits) from exc
+    return cert
 
 
 def run_construction(rc: RunConfig) -> CarmichaelBatch:
@@ -307,8 +309,8 @@ def independent_recheck(n: int, nu: int, effort_digits: int | None = None) -> No
         raise InternalConsistencyError(f"a Fermat base rejected {n}")
 
 
-def write_outputs(workdir: str | Path, batch: CarmichaelBatch) -> dict[str, Path]:
-    """Write certificates.jsonl and timings.json under workdir.
+def write_outputs(workdir: str | Path, batch: CarmichaelBatch, timings: dict[str, float]) -> dict[str, Path]:
+    """Write certificates.jsonl and the run's timings.json under workdir.
 
     The certificate document is deterministic for a given config; timings
     are live measurements and live in their own sidecar.
@@ -317,7 +319,7 @@ def write_outputs(workdir: str | Path, batch: CarmichaelBatch) -> dict[str, Path
     wd.mkdir(parents=True, exist_ok=True)
     cert_path = wd / "certificates.jsonl"
     cert_path.write_text("".join(line + "\n" for line in batch.records()))
-    return {"certificates": cert_path, "timings": write_timings(wd, batch.timings)}
+    return {"certificates": cert_path, "timings": write_timings(wd, timings)}
 
 
 def write_timings(workdir: str | Path, timings: dict[str, float]) -> Path:

@@ -7,13 +7,15 @@ Three interchangeable strategies, picked by sequence length when
   the pure backend this is ``pure._product_one_walk``, the preorder walk
   ``enumerate_product_one_subsets`` runs too,
 * ``mitm``        — meet-in-the-middle on two halves (<= 48),
-* ``dlog``        — discrete logs on the CRT decomposition of the unit
-  group, then reachability over the resulting additive lattice.
+* ``reach``       — reachability over the subset products themselves,
+  keeping the first index tuple that reaches each product mod M.
 
 A cheap prefix-product pigeonhole pass runs first in every case; on random
 input it settles most queries immediately.  Every witness any strategy
 returns is re-verified by a direct modular product before reaching the
 caller.  Repeated elements are distinct by index (sequence semantics).
+No strategy factors M; the CRT decomposition and discrete logs below
+describe the group for ``carmik davenport``.
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ EXHAUSTIVE_MAX = 24
 MITM_MAX = 48
 
 # Budgets of find_product_one_subsequence, read at call time: search nodes
-# of the exhaustive walk, table entries of meet-in-the-middle, and lattice
-# states of the discrete-log walk.
+# of the exhaustive walk, table entries of meet-in-the-middle, and reached
+# products of the reachability walk.
 _NODE_CAP = 50_000_000
 _TABLE_CAP = 4_194_304
 _STATE_CAP = 2_000_000
@@ -73,14 +75,13 @@ class ZeroSumWitness:
     """An index subset whose selected elements multiply to 1 mod M."""
 
     indices: tuple[int, ...]
-    product_check: int
 
     def verify(self, elements, modulus: int) -> bool:
         m = int(modulus)
         prod = 1
         for i in self.indices:
             prod = prod * (elements[i] % m) % m
-        return len(self.indices) > 0 and prod == 1 % m and self.product_check == prod
+        return len(self.indices) > 0 and prod == 1 % m
 
 
 def _primitive_root(p: int, phi_factors: tuple[int, ...]) -> int:
@@ -258,37 +259,31 @@ def _validate_units(elements, m: int) -> list[int]:
     return reduced
 
 
-def _dlog_walk(elements: list[int], fi: arith.FactoredInteger, state_cap: int):
-    """Reachability over the additive component lattice.
+def _reach_walk(elements: list[int], m: int, state_cap: int):
+    """Reachability over the subset products mod m.
 
     Processes elements in index order, keeping the first index tuple that
-    reaches each exponent vector; complete for existence as long as the
-    state table stays within state_cap.
+    reaches each product; complete for existence as long as the state
+    table stays within state_cap.
     """
-    structure = unit_group_structure(fi)
-    orders = structure.orders
-    if not orders:
-        # Trivial unit group: any single element is already the identity.
-        return (0,) if elements else None
-    vectors = [discrete_log_vector(structure, e) for e in elements]
-    zero = tuple(0 for _ in orders)
-    states: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for i, vec in enumerate(vectors):
-        if vec == zero:
+    one = 1 % m
+    states: dict[int, tuple[int, ...]] = {}
+    for i, x in enumerate(elements):
+        if x == one:
             return (i,)
         additions = []
         for state, picked in states.items():
-            new = tuple((s + v) % o for s, v, o in zip(state, vec, orders))
-            if new == zero:
+            new = state * x % m
+            if new == one:
                 return picked + (i,)
             if new not in states:
                 additions.append((new, picked + (i,)))
         for new, picked in additions:
             states.setdefault(new, picked)
-        states.setdefault(vec, (i,))
+        states.setdefault(x, (i,))
         if len(states) > state_cap:
             raise SearchExhaustedError(
-                "state table exceeded its cap during the lattice walk",
+                "state table exceeded its cap during the reachability walk",
                 states=len(states),
                 cap=state_cap,
             )
@@ -307,10 +302,9 @@ def find_product_one_subsequence(
     (``_NODE_CAP``, ``_TABLE_CAP`` or ``_STATE_CAP``, by strategy) raises
     SearchExhaustedError instead of guessing.
     """
-    if strategy not in ("auto", "exhaustive", "mitm", "dlog"):
+    if strategy not in ("auto", "exhaustive", "mitm", "reach"):
         raise DomainError(f"unknown strategy {strategy!r}")
-    fi = modulus if isinstance(modulus, arith.FactoredInteger) else None
-    m = int(modulus) if fi is None else fi.value
+    m = int(modulus)
     reduced = _validate_units(list(elements), m)
     if not reduced:
         return None
@@ -325,7 +319,7 @@ def find_product_one_subsequence(
         elif len(reduced) <= MITM_MAX:
             strategy = "mitm"
         else:
-            strategy = "dlog"
+            strategy = "reach"
 
     small = m < arith.KERNEL_BOUND
     if strategy == "exhaustive":
@@ -335,7 +329,7 @@ def find_product_one_subsequence(
         search = backend.subset_witness_mitm if small else pure.subset_witness_mitm
         status, witness = search(reduced, m, _TABLE_CAP)
     else:
-        witness = _dlog_walk(reduced, fi if fi is not None else arith.FactoredInteger.of(m), _STATE_CAP)
+        witness = _reach_walk(reduced, m, _STATE_CAP)
         status = pure.FOUND if witness is not None else pure.NO_WITNESS
 
     if status == pure.BUDGET_EXCEEDED:
@@ -355,7 +349,7 @@ def _checked(indices, reduced, m) -> ZeroSumWitness:
         prod = prod * reduced[i] % m
     if prod != 1 % m or not indices:
         raise InternalConsistencyError(f"solver returned an invalid witness {indices}")
-    return ZeroSumWitness(indices=tuple(indices), product_check=prod)
+    return ZeroSumWitness(indices=tuple(indices))
 
 
 def enumerate_product_one_subsets(
@@ -380,4 +374,4 @@ def enumerate_product_one_subsets(
     status, found, nodes = pure._product_one_walk(reduced, m, count_cap, node_cap)
     if status == pure.BUDGET_EXCEEDED:
         raise SearchExhaustedError("enumeration budget exhausted", nodes=nodes, found=len(found))
-    return [ZeroSumWitness(indices=indices, product_check=1) for indices in found]
+    return [ZeroSumWitness(indices=indices) for indices in found]

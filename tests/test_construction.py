@@ -371,14 +371,13 @@ class TestInstance:
         with pytest.raises(DomainError, match="window primes"):
             cons.ConstructionInstance.parse(broken)
 
-    def test_lambda_must_divide_J_times_j0(self):
+    def test_derived_values_are_not_fields(self):
         instance = harvested_instance()
-        g = (instance.q1[0] - 1) // instance.j0
-        (r,) = arith.factorize(g).primes  # omega_g = 1
-        short_j = factored(*(p for p in instance.j_product.primes if p != r))
-        tampered = dataclasses.replace(instance, j_product=short_j)
-        with pytest.raises(InternalConsistencyError, match=r"lambda\(L1\*L2\) does not divide J\*j0"):
-            tampered.verify()
+        names = [f.name for f in dataclasses.fields(instance)]
+        assert names == ["config", "j0", "q1", "q2", "k1", "k2", "p1", "p2"]
+        assert instance.j_product == cons.build_J(instance.config.z)
+        assert instance.l1 == factored(*instance.q1)
+        assert instance.l2 == factored(*instance.q2)
 
     def test_divisor_prime_count_is_read_from_Q(self, monkeypatch):
         instance = harvested_instance()
@@ -388,15 +387,34 @@ class TestInstance:
             arith, "factorize", lambda n, *a, **kw: calls.append(n) or factorize(n, *a, **kw)
         )
         instance.verify()
-        # One factorization per Q cofactor g; none for the family divisors d.
-        assert len(calls) == len(instance.q1) + len(instance.q2)
+        # The Q cofactors g are read against J's primes, the divisors d against Q's.
+        assert calls == []
         d = instance.q1[0] * instance.q1[1]  # two primes where omega_d = 1
         forged = (d * instance.k1 * instance.config.nu + 1, d)
         tampered = dataclasses.replace(instance, p1=(forged,) + instance.p1[1:])
-        calls.clear()
         with pytest.raises(InternalConsistencyError, match="wrong prime count"):
             tampered.verify()
-        assert d not in calls
+        assert calls == []
+
+    def test_q_cofactor_is_read_against_the_window(self):
+        instance = harvested_instance()
+        j0, primes = instance.j0, instance.j_product.primes
+        lo = primes[0]
+
+        def forged_q(cofactors):
+            # The first prime g * j0 + 1 over the given cofactors, outside Q1 and Q2.
+            return next(g * j0 + 1 for g in cofactors
+                        if math.gcd(g, j0) == 1 and arith.is_prime(g * j0 + 1)
+                        and g * j0 + 1 not in instance.q1 + instance.q2)
+
+        outside = forged_q(p for p in arith.primes_in_range(3, lo - 1))
+        tampered = dataclasses.replace(instance, q1=(outside,) + instance.q1[1:])
+        with pytest.raises(InternalConsistencyError, match="leaves the window"):
+            tampered.verify()
+        two_primes = forged_q(a * b for a, b in itertools.combinations(primes, 2))
+        tampered = dataclasses.replace(instance, q1=(two_primes,) + instance.q1[1:])
+        with pytest.raises(InternalConsistencyError, match="wrong shape"):
+            tampered.verify()
 
     def test_unknown_format_rejected(self):
         with pytest.raises(DomainError):

@@ -1,8 +1,10 @@
+import dataclasses
+
 import brute_force
 import pytest
 
 from carmik import arith, korselt
-from carmik.errors import DomainError
+from carmik.errors import DomainError, InternalConsistencyError
 
 # Frozen by an exhaustive Korselt scan, cross-checked below by the
 # all-bases Fermat oracle.
@@ -15,9 +17,21 @@ class TestIsCarmichael:
     def test_561(self):
         cert = korselt.is_carmichael(561)
         assert cert
-        assert cert.k_invariant == 2
+        assert (cert.n, cert.k_invariant) == (561, 2)
         assert cert.factors.primes == (3, 11, 17)
-        assert all(flag for _, flag in cert.checks)
+        assert [f.name for f in dataclasses.fields(cert)] == ["factors"]
+
+    def test_certificate_checks_korselt_on_its_factors(self):
+        cert = korselt.CarmichaelCertificate(arith.FactoredInteger.from_factor_map({3: 1, 11: 1, 17: 1}))
+        assert cert == korselt.is_carmichael(561)
+        cases = (
+            (arith.FactoredInteger(627, ((3, 1), (11, 1), (19, 1))), r"11 \| 627 but 10 does not divide 626"),
+            (arith.FactoredInteger(45, ((3, 2), (5, 1))), "divisible by 3\\*\\*2"),
+            (arith.FactoredInteger(7, ((7, 1),)), "fewer than three primes"),
+        )
+        for factors, message in cases:
+            with pytest.raises(InternalConsistencyError, match=message):
+                korselt.CarmichaelCertificate(factors)
 
     def test_6_fails_divisibility_at_3(self):
         verdict = korselt.is_carmichael(6)

@@ -5,9 +5,15 @@ from pathlib import Path
 
 import pytest
 
-from carmik import korselt, pipeline
+from carmik import arith, korselt, pipeline, zerosum
 from carmik.construction import ConstructionConfig, ConstructionInstance
-from carmik.errors import ConfigError, InternalConsistencyError, SearchExhaustedError, StageError
+from carmik.errors import (
+    ConfigError,
+    FactorizationEffortError,
+    InternalConsistencyError,
+    SearchExhaustedError,
+    StageError,
+)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -72,6 +78,13 @@ class TestParseConfig:
     def test_bad_value(self):
         with pytest.raises(ConfigError, match="bad value"):
             pipeline.parse_config("z = abc\nnu = 2\n")
+
+    def test_misspelled_bool_rejected(self):
+        with pytest.raises(ConfigError, match="bad value in config: 'ture' is not a boolean"):
+            pipeline.parse_config("z = 74\nnu = 2\nforce_zero_sum = ture\n")
+        for text, value in (("No", False), ("0", False), ("YES", True), ("1", True)):
+            rc = pipeline.parse_config(f"z = 74\nnu = 2\nforce_zero_sum = {text}\n")
+            assert rc.force_zero_sum is value
 
     def test_render_roundtrip(self):
         rc = pipeline.parse_config(BASE_CONFIG)
@@ -185,12 +198,8 @@ class TestBatchRecords:
     def test_record_shape_and_determinism(self, tmp_path):
         rc = pipeline.parse_config(BASE_CONFIG)
         instance = pipeline.harvest_instance(rc.construction)
-        cert = korselt.is_carmichael(561)
-        batch = pipeline.CarmichaelBatch(
-            instance=instance,
-            certificates=(cert,),
-            timings={"certify": 0.1},
-        )
+        batch = pipeline.CarmichaelBatch(instance=instance, certificates=(korselt.is_carmichael(561),))
+        assert [f.name for f in dataclasses.fields(batch)] == ["instance", "certificates"]
         lines = batch.records()
         assert lines == batch.records()
         record = json.loads(lines[0])
@@ -199,6 +208,71 @@ class TestBatchRecords:
         assert record["k_invariant"] == 2
         assert record["nu"] == 2
         assert record["instance"].startswith("sha256:")
-        paths = pipeline.write_outputs(tmp_path, batch)
+        paths = pipeline.write_outputs(tmp_path, batch, {"certify": 0.1})
         assert paths["certificates"].read_text().count("\n") == 1
-        assert "certify" in json.loads(paths["timings"].read_text())
+        assert json.loads(paths["timings"].read_text()) == {"certify": 0.1}
+
+
+class TestAssembly:
+    """Assembly and certification on families small enough to pair by hand.
+
+    The harvested instance's families are replaced, and each family's
+    witness is the whole family, so n is the product of every listed prime.
+    """
+
+    @pytest.fixture
+    def assemble(self, monkeypatch):
+        monkeypatch.setattr(
+            pipeline, "_family_witnesses",
+            lambda family, modulus, force, which: [zerosum.ZeroSumWitness(tuple(range(len(family))))],
+        )
+        rc = pipeline.parse_config(BASE_CONFIG)
+        instance = pipeline.harvest_instance(rc.construction)
+
+        def run(p1, p2, timings=None, target_count=1, **construction):
+            cc = dataclasses.replace(rc.construction, **construction)
+            run_config = dataclasses.replace(rc, construction=cc, target_count=target_count)
+            families = dataclasses.replace(
+                instance, config=cc,
+                p1=tuple((p, 1) for p in p1), p2=tuple((p, 1) for p in p2),
+            )
+            return pipeline.complete_batch(families, run_config, timings)
+
+        return run
+
+    def test_561_is_certified_from_its_factors(self, assemble, monkeypatch):
+        calls = []
+        factorize = arith.factorize
+        monkeypatch.setattr(
+            arith, "factorize", lambda n, *a, **kw: calls.append(n) or factorize(n, *a, **kw)
+        )
+        timings = {}
+        batch = assemble((3,), (11, 17), timings)
+        (cert,) = batch.certificates
+        assert (cert.n, cert.k_invariant, cert.factors.primes) == (561, 2, (3, 11, 17))
+        assert list(timings)[-1] == "certify"
+        # Only the independent recheck factors n.
+        assert calls.count(561) == 1
+
+    def test_korselt_failure_is_inconsistent(self, assemble):
+        with pytest.raises(InternalConsistencyError, match=r"11 \| 627 but 10 does not divide 626"):
+            assemble((3,), (11, 19))
+
+    def test_composite_factor_is_named(self, assemble):
+        with pytest.raises(InternalConsistencyError, match="assembled factor 15 is composite"):
+            assemble((3,), (11, 15))
+
+    def test_too_few_certificates_is_an_assembly_error(self, assemble):
+        with pytest.raises(StageError) as exc:
+            assemble((3,), (11, 17), target_count=2)
+        assert exc.value.stage == "assembly"
+        assert exc.value.data == {"assembled": 1}
+
+    def test_recheck_past_the_effort_cap_is_a_certify_error(self, assemble):
+        timings = {}
+        with pytest.raises(StageError) as exc:
+            assemble((3,), (11, 17), timings, factor_digits=2)
+        assert exc.value.stage == "certify"
+        assert exc.value.data == {"digits": 3, "factor_digits": 2}
+        assert isinstance(exc.value.__cause__, FactorizationEffortError)
+        assert list(timings)[-1] == "certify"

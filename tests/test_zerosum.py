@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from carmik import arith, zerosum
 from carmik._kernels import pure
-from carmik.errors import DomainError, SearchExhaustedError
+from carmik.errors import DomainError, FactorizationEffortError, SearchExhaustedError
 
 
 def brute_subset_count(elements, m):
@@ -112,6 +112,17 @@ class TestFind:
         with pytest.raises(DomainError, match="unknown strategy 'bogus'"):
             zerosum.find_product_one_subsequence([2, 3], 5, strategy="bogus")
 
+    def test_reach_walks_products_past_the_factoring_cap(self):
+        # A 90-digit modulus cannot be factored under the 64-digit cap, and
+        # the walk needs no factorization.  2 * 2**-1 is no contiguous run,
+        # so the prefix pass leaves the answer to the walk.
+        m = 10**89 + 1
+        with pytest.raises(FactorizationEffortError):
+            arith.factorize(m)
+        elems = [2, 3, pow(2, -1, m)]
+        w = zerosum.find_product_one_subsequence(elems, m, strategy="reach")
+        assert w.indices == (0, 2) and w.verify(elems, m)
+
     def test_every_returned_witness_verifies(self):
         rng = random.Random(5)
         for _ in range(300):
@@ -130,7 +141,7 @@ class TestFind:
         with pytest.raises(SearchExhaustedError):
             zerosum.find_product_one_subsequence(elems, 11)
 
-    @pytest.mark.parametrize("strategy, cap", [("mitm", "_TABLE_CAP"), ("dlog", "_STATE_CAP")])
+    @pytest.mark.parametrize("strategy, cap", [("mitm", "_TABLE_CAP"), ("reach", "_STATE_CAP")])
     def test_each_strategy_reads_its_budget_at_call_time(self, monkeypatch, strategy, cap):
         elems = [2] * 9
         assert zerosum.find_product_one_subsequence(elems, 11, strategy=strategy) is None
@@ -151,13 +162,13 @@ class TestFind:
             if pure.prefix_run_witness(reduced, m) is None:
                 hard += 1
             answers = {}
-            for strategy in ("exhaustive", "mitm", "dlog"):
+            for strategy in ("exhaustive", "mitm", "reach"):
                 w = zerosum.find_product_one_subsequence(elems, m, strategy=strategy)
                 answers[strategy] = w is not None
                 if w is not None:
                     assert w.verify(elems, m)
             assert answers["mitm"] == answers["exhaustive"]
-            assert answers["dlog"] == answers["exhaustive"]
+            assert answers["reach"] == answers["exhaustive"]
             checked += 1
         assert hard >= 50  # the prefix pass must not mask the comparison
 
@@ -250,7 +261,7 @@ def reference_enumerate(elements, m, count_cap=None, node_cap=None):
             path.append(i)
             prods.append(p)
             if p == one:
-                out.append(zerosum.ZeroSumWitness(indices=tuple(path), product_check=p))
+                out.append(zerosum.ZeroSumWitness(indices=tuple(path)))
                 if count_cap is not None and len(out) >= count_cap:
                     return out
             i += 1
