@@ -6,6 +6,7 @@ The compiled side is the extension built from the tracked ``_native.c``
 (``python setup.py build_ext --inplace``); without it only the pure side
 is timed.  Each workload runs on both backends (results are asserted
 identical) and the table reports wall time per backend plus the speedup.
+The census row counts are asserted against OEIS A055553.
 """
 
 import argparse
@@ -19,6 +20,10 @@ try:
     from carmik._kernels import _native as native
 except ImportError:
     native = None
+
+
+# Carmichael numbers up to 10^6 and 10^7 (OEIS A055553).
+CENSUS_ROWS = {"census to 1e6": 43, "census to 1e7": 105}
 
 
 def timed(fn, repeat):
@@ -47,6 +52,7 @@ def workloads():
     ap_caps = [int(l * math.log(l) ** 3) + 100 for l in range(2, 501)]
 
     yield "census to 1e6", lambda b: b.carmichael_census(1_000_000)
+    yield "census to 1e7", lambda b: b.carmichael_census(10_000_000)
     yield "sieve [1e12, 1e12+1e6]", lambda b: b.primes_in_range(10**12, 10**12 + 10**6)
     yield "miller-rabin x 20k", lambda b: [b.is_prime_u64(n) for n in mr_values]
     yield "miller-rabin x 20k, 2^34..2^52", lambda b: [b.is_prime_u64(n) for n in mr_harvest]
@@ -71,6 +77,8 @@ def main():
     print("-" * len(header))
     for name, fn in workloads():
         pure_value, pure_time = timed(lambda: fn(pure), args.repeat)
+        if name in CENSUS_ROWS:
+            assert len(pure_value) == CENSUS_ROWS[name], name
         if native is None:
             print(f"{name:<34} {pure_time:>9.3f}s {'-':>10} {'-':>9}")
             continue

@@ -10,10 +10,12 @@ that both twins define each of them.
 
 The twins share values, not algorithms: the pure Miller-Rabin screens with
 one gcd and uses only the bases n's size needs, while the compiled one
-trial-divides by its 12 bases and then runs all 12.  The pure AP scan
-reads primality from a sieve table and beats the compiled one, which runs
-Miller-Rabin on every progression term, so ``ap_search.heath_brown_scan``
-calls ``pure.ap_max_scan`` on either backend.  The compiled backend is
+trial-divides by its 12 bases and then runs all 12.  The pure census walks
+each n from its largest prime, where the compiled one reads a
+smallest-prime-factor table.  The pure AP scan reads primality from a
+sieve table and beats the compiled one, which runs Miller-Rabin on every
+progression term, so ``ap_search.heath_brown_scan`` calls
+``pure.ap_max_scan`` on either backend.  The compiled backend is
 preferred when importable; set CARMIK_PURE=1 to force the fallback.
 ``benchmarks/bench_kernels.py`` compares the two.
 """

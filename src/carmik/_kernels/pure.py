@@ -129,49 +129,49 @@ def primes_in_range(lo, hi):
     return [lo + i for i in range(width) if seg[i]]
 
 
-def smallest_prime_factors(limit):
-    """List spf with spf[n] = smallest prime factor of n (spf[0] = spf[1] = 0)."""
-    spf = list(range(limit + 1))
-    if limit >= 1:
-        spf[1] = 0
-    if limit >= 0:
-        spf[0] = 0
-    for p in range(2, isqrt(limit) + 1):
-        if spf[p] == p:
-            for m in range(p * p, limit + 1, p):
-                if spf[m] == m:
-                    spf[m] = p
-    return spf
-
-
 def carmichael_census(limit):
-    """All (n, K) with n <= limit a Carmichael number.
+    """All (n, K) with n <= limit a Carmichael number, ascending.
 
-    Korselt scan over a smallest-prime-factor table: n qualifies iff it is
-    composite, squarefree, and p - 1 | n - 1 for every prime p | n.  K is
-    gcd(p - 1) over the prime factors.  Even n can never qualify, so only
-    odd n are scanned.
+    Walks each n from its largest prime factor P (Pinch, "The Carmichael
+    numbers up to 10^21", 2007).  By Korselt, n = P*m where m is a
+    squarefree product of odd primes below P, so at most their product,
+    and m == 1 (mod P - 1) with 1 < m != P, so m > P and P < sqrt(n).
+    Each such m that P does not divide gets a base-2 Fermat test, which
+    every Carmichael number passes, and ``_korselt_k`` decides the
+    survivors.  Only its largest prime finds n, so each n is found once,
+    and memory is the primes up to sqrt(limit).
     """
-    if limit < 3:
-        return []
-    spf = smallest_prime_factors(limit)
+    odd_primes = primes_in_range(3, isqrt(max(limit, 0)))
     out = []
-    for n in range(9, limit + 1, 2):
-        if spf[n] == n:
-            continue
-        m = n
-        k = 0
-        good = True
-        while m > 1:
-            p = spf[m]
-            m //= p
-            if m % p == 0 or (n - 1) % (p - 1) != 0:
-                good = False
-                break
-            k = gcd(k, p - 1)
-        if good:
-            out.append((n, k))
+    m_cap = 1  # product of the odd primes below P, capped at limit
+    for i, big in enumerate(odd_primes):
+        for m in range(2 * big - 1, min(limit // big, m_cap) + 1, big - 1):
+            n = big * m
+            if m % big and pow(2, n - 1, n) == 1:
+                k = _korselt_k(n, m, big, odd_primes[:i])
+                if k:
+                    out.append((n, k))
+        m_cap = min(m_cap * big, limit)
+    out.sort()
     return out
+
+
+def _korselt_k(n, m, big, primes):
+    """K of n = big*m if m is a squarefree product of ``primes``, the odd
+    primes below big, each with p - 1 | n - 1; else 0."""
+    k = big - 1
+    for q in primes:
+        if q * q > m:
+            break
+        if m % q == 0:
+            m //= q
+            if m % q == 0 or (n - 1) % (q - 1):
+                return 0
+            k = gcd(k, q - 1)
+    # Trial division leaves 1 or one prime, which must lie below big.
+    if m > 1 and (m >= big or (n - 1) % (m - 1)):
+        return 0
+    return gcd(k, m - 1)
 
 
 def first_prime_in_ap(modulus, residue, cap):

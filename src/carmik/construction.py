@@ -428,9 +428,6 @@ class ConstructionInstance:
         # Structural reason the pairwise gcd collapses to nu:
         if math.gcd(self.l1.value * self.k1 * nu, self.l2.value * self.k2 * nu) != nu:
             raise InternalConsistencyError("gcd(L1*k1*nu, L2*k2*nu) != nu")
-        lam = arith.lcm_all([q - 1 for q in self.q1 + self.q2])
-        if (j_value * self.j0) % lam != 0:
-            raise InternalConsistencyError("lambda(L1*L2) does not divide J*j0")
 
     # -- flat text serialization (resume/inspect format) -----------------
 

@@ -1,10 +1,11 @@
-"""Carmichael certification, the K-invariant, and a brute-force census.
+"""Carmichael certification, the K-invariant, and an exact census.
 
 The certifier is factorization-based: n qualifies iff it is composite,
 squarefree, and p - 1 | n - 1 for every prime p | n; a certificate is that
-factorization, built from known primes or by factoring.  The census scans
-every candidate the same way over a smallest-prime-factor table, the
-backend's ``carmichael_census`` kernel.  The Fermat condition is only
+factorization, built from known primes or by factoring.  The census, the
+backend's ``carmichael_census``, applies the same test; the pure kernel
+walks each n from its largest prime P, which Korselt forces to satisfy
+n == P (mod P(P - 1)), so it misses none.  The Fermat condition is only
 probed here, at seeded random bases (``fermat_probe``); the exhaustive
 all-bases oracle that cross-checks the certifier lives with the tests.
 """

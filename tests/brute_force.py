@@ -1,11 +1,13 @@
 """Brute-force references for the tests: every base, every unit, no shortcuts.
 
-Each loops over all residues mod n, so they suit only small n.  The
-compiled backend keeps a twin of the first four, which
-``test_native_parity.py`` compares against these.
+The residue checks loop over all residues mod n, so they suit only small
+n.  The compiled backend keeps a twin of the first four and of
+``smallest_prime_factors``, which ``test_native_parity.py`` compares
+against these.  ``spf_census`` is the Korselt scan over every odd n that
+the census kernels are checked against.
 """
 
-from math import gcd
+from math import gcd, isqrt
 
 import sympy
 
@@ -36,3 +38,48 @@ def count_coprime(n):
 def fermat_carmichael(n):
     """n is composite and a**n == a (mod n) for every a < n."""
     return n >= 2 and not sympy.isprime(n) and fermat_all_bases(n)
+
+
+def smallest_prime_factors(limit):
+    """List spf with spf[n] = smallest prime factor of n (spf[0] = spf[1] = 0)."""
+    spf = list(range(limit + 1))
+    if limit >= 1:
+        spf[1] = 0
+    if limit >= 0:
+        spf[0] = 0
+    for p in range(2, isqrt(limit) + 1):
+        if spf[p] == p:
+            for m in range(p * p, limit + 1, p):
+                if spf[m] == m:
+                    spf[m] = p
+    return spf
+
+
+def spf_census(limit):
+    """All (n, K) with n <= limit a Carmichael number, ascending.
+
+    Korselt scan over a smallest-prime-factor table: n qualifies iff it is
+    composite, squarefree, and p - 1 | n - 1 for every prime p | n.  K is
+    gcd(p - 1) over the prime factors.  Even n can never qualify, so only
+    odd n are scanned.
+    """
+    if limit < 3:
+        return []
+    spf = smallest_prime_factors(limit)
+    out = []
+    for n in range(9, limit + 1, 2):
+        if spf[n] == n:
+            continue
+        m = n
+        k = 0
+        good = True
+        while m > 1:
+            p = spf[m]
+            m //= p
+            if m % p == 0 or (n - 1) % (p - 1) != 0:
+                good = False
+                break
+            k = gcd(k, p - 1)
+        if good:
+            out.append((n, k))
+    return out

@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from carmik import arith
-from carmik._kernels import backend
 from carmik.errors import DomainError, EmptyRangeError, FactorizationEffortError
 
 
@@ -109,7 +108,7 @@ class TestFactorize:
     def test_roundtrip_to_one_million_via_spf(self):
         # Dense sweep over the full range, cross-checked against an
         # independently built smallest-prime-factor table.
-        spf = backend.smallest_prime_factors(1_000_000)
+        spf = brute_force.smallest_prime_factors(1_000_000)
         for n in range(2, 1_000_001):
             fi = arith.factorize(n)
             assert fi.value == math.prod(p**e for p, e in fi.factors)

@@ -4,11 +4,13 @@ These run on every machine; ``test_native_parity.py`` compares the
 compiled backend with the pure one where the extension is built.
 """
 
+import functools
 import hashlib
 import math
 import re
 from pathlib import Path
 
+import brute_force
 import pytest
 import sympy
 from hypothesis import example, given, settings
@@ -161,3 +163,61 @@ def test_ap_max_scan_table_grows_past_first_size(monkeypatch):
     got = pure.ap_max_scan(337, 337, [15_000])
     assert sizes == [32 * 337, 15_000]  # never past the largest cap
     assert (337, 284) in got[1] and got == reference_ap_max_scan(337, 337, [15_000])
+
+
+REFERENCE_LIMIT = 200_000
+
+
+@functools.cache
+def reference_census():
+    return brute_force.spf_census(REFERENCE_LIMIT)
+
+
+def reference_rows(limit):
+    return [row for row in reference_census() if row[0] <= limit]
+
+
+def test_census_matches_the_spf_scan_at_every_limit_to_3000():
+    got = [pure.carmichael_census(limit) for limit in range(3001)]
+    assert got == [reference_rows(limit) for limit in range(3001)]
+
+
+@settings(deadline=None)
+@given(
+    st.one_of(
+        st.integers(0, REFERENCE_LIMIT),
+        # Limits at and next to a Carmichael number.
+        st.sampled_from([n for n, _ in reference_census()]).flatmap(
+            lambda n: st.integers(n - 1, n + 1)
+        ),
+    )
+)
+@example(REFERENCE_LIMIT)
+def test_census_matches_the_spf_scan(limit):
+    assert pure.carmichael_census(limit) == reference_rows(limit)
+
+
+def test_census_rows_are_distinct_korselt_numbers_with_their_k():
+    rows = pure.carmichael_census(10**6)
+    assert len(rows) == 43
+    assert [n for n, _ in rows] == sorted({n for n, _ in rows})
+    for n, k in rows:
+        factors = sympy.factorint(n)
+        assert len(factors) >= 3 and set(factors.values()) == {1}
+        assert all((n - 1) % (p - 1) == 0 for p in factors)
+        assert k == math.gcd(*(p - 1 for p in factors))
+
+
+def test_census_never_fermat_tests_a_prime_power(monkeypatch):
+    # P**e can only be walked from P, where m = P**(e - 1) is a multiple of
+    # P and skipped: it cannot be squarefree.
+    tested = []
+
+    def recording_pow(base, exponent, modulus):
+        tested.append(modulus)
+        return pow(base, exponent, modulus)
+
+    monkeypatch.setattr(pure, "pow", recording_pow, raising=False)
+    assert pure.carmichael_census(10**5) == reference_rows(10**5)
+    assert tested
+    assert [n for n in tested if len(sympy.primefactors(n)) == 1] == []

@@ -1,7 +1,8 @@
 """Backend parity: the compiled kernels must match the pure twins bit for bit.
 
-The four brute-force kernels the compiled extension still carries have no
-pure twin; they are compared with ``brute_force``, the tests' reference.
+The four brute-force kernels and ``smallest_prime_factors`` that the
+compiled extension still carries have no pure twin; they are compared
+with ``brute_force``, the tests' reference.
 """
 
 import math
@@ -32,7 +33,7 @@ def test_primes_in_range_parity():
 
 
 def test_spf_parity():
-    assert native.smallest_prime_factors(1000) == pure.smallest_prime_factors(1000)
+    assert native.smallest_prime_factors(1000) == brute_force.smallest_prime_factors(1000)
 
 
 def test_census_parity():
