@@ -50,6 +50,8 @@ def workloads():
     # The sizes the construction harvest tests: q = g*j + 1 and p = d*k*nu + 1.
     mr_harvest = [rng.randrange(2**34, 2**52) for _ in range(20_000)]
     ap_caps = [int(l * math.log(l) ** 3) + 100 for l in range(2, 501)]
+    band = range(1000, 1200)
+    band_caps = [int(l * math.log(l) ** 3) + 100 for l in band]
 
     yield "census to 1e6", lambda b: b.carmichael_census(1_000_000)
     yield "census to 1e7", lambda b: b.carmichael_census(10_000_000)
@@ -57,6 +59,10 @@ def workloads():
     yield "miller-rabin x 20k", lambda b: [b.is_prime_u64(n) for n in mr_values]
     yield "miller-rabin x 20k, 2^34..2^52", lambda b: [b.is_prime_u64(n) for n in mr_harvest]
     yield "ap scan l <= 500", lambda b: b.ap_max_scan(2, 500, ap_caps)
+    # One call, so one table, per modulus, as in perfbench's ap_scan.
+    yield "ap scan, one call per l = 1000..1199", lambda b: [
+        b.ap_max_scan(l, l, [cap]) for l, cap in zip(band, band_caps)
+    ]
     yield "brent x 20 semiprimes", lambda b: [b.brent_factor(n) for n in semiprimes]
     yield "subset exhaustive x 200 (mod 105)", lambda b: [
         b.subset_witness_exhaustive(e, 105, 0) for e in stress
@@ -72,7 +78,7 @@ def main():
     args = parser.parse_args()
     if native is None:
         print("compiled backend unavailable; timing the pure backend only")
-    header = f"{'workload':<34} {'pure':>10} {'native':>10} {'speedup':>9}"
+    header = f"{'workload':<38} {'pure':>10} {'native':>10} {'speedup':>9}"
     print(header)
     print("-" * len(header))
     for name, fn in workloads():
@@ -80,12 +86,12 @@ def main():
         if name in CENSUS_ROWS:
             assert len(pure_value) == CENSUS_ROWS[name], name
         if native is None:
-            print(f"{name:<34} {pure_time:>9.3f}s {'-':>10} {'-':>9}")
+            print(f"{name:<38} {pure_time:>9.3f}s {'-':>10} {'-':>9}")
             continue
         native_value, native_time = timed(lambda: fn(native), args.repeat)
         assert pure_value == native_value, f"backend mismatch in {name}"
         print(
-            f"{name:<34} {pure_time:>9.3f}s {native_time:>9.3f}s "
+            f"{name:<38} {pure_time:>9.3f}s {native_time:>9.3f}s "
             f"{pure_time / native_time:>8.1f}x"
         )
 

@@ -11,11 +11,14 @@ that both twins define each of them.
 The twins share values, not algorithms: the pure Miller-Rabin screens with
 one gcd and uses only the bases n's size needs, while the compiled one
 trial-divides by its 12 bases and then runs all 12.  The pure census walks
-each n from its largest prime, where the compiled one reads a
-smallest-prime-factor table.  The pure AP scan reads primality from a
-sieve table and beats the compiled one, which runs Miller-Rabin on every
-progression term, so ``ap_search.heath_brown_scan`` calls
-``pure.ap_max_scan`` on either backend.  The compiled backend is
+each n from its largest prime and holds the primes up to sqrt(limit),
+where the compiled one reads a smallest-prime-factor table of 4 bytes per
+integer; from 10^7 on the pure one is also faster, so ``korselt.census``
+calls ``pure.carmichael_census`` on either backend.  The pure AP scan
+reads a sieve table in rows of width l and settles every class whose term
+in a row is prime with one integer AND, where the compiled one runs
+Miller-Rabin on every progression term, so ``ap_search.heath_brown_scan``
+calls ``pure.ap_max_scan`` on either backend.  The compiled backend is
 preferred when importable; set CARMIK_PURE=1 to force the fallback.
 ``benchmarks/bench_kernels.py`` compares the two.
 """

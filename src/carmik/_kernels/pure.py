@@ -5,8 +5,11 @@ library reads as ``backend.<name>``, the backend contract.  Everything here
 is exact integer arithmetic and deterministic; the two backends must
 return identical values for identical arguments, which
 ``tests/test_native_parity.py`` enforces.  The library calls
-``ap_max_scan``, whose sieve table beats the compiled scan's Miller-Rabin,
-and ``prefix_run_witness`` from here on either backend.
+``ap_max_scan``, which settles a whole row of residue classes with one
+integer AND over a sieve table where the compiled scan runs Miller-Rabin
+on every term, ``carmichael_census``, which holds only the primes up to
+sqrt(limit) where the compiled one holds a 4-byte entry per integer, and
+``prefix_run_witness`` from here on either backend.
 
 Arguments fit in an unsigned 64-bit word, except where ``carmik.arith``
 hands this module larger operands: ``is_prime_u64`` with its own base set
@@ -96,10 +99,12 @@ def _sieve_bytes(limit):
         return bytearray(limit + 1)
     flags = bytearray(b"\x01") * (limit + 1)
     flags[0:2] = b"\x00\x00"
-    for p in range(2, isqrt(limit) + 1):
+    flags[4::2] = bytes((limit - 2) // 2)
+    # Odd multiples only: the even ones are already struck.
+    for p in range(3, isqrt(limit) + 1, 2):
         if flags[p]:
             start = p * p
-            flags[start : limit + 1 : p] = b"\x00" * ((limit - start) // p + 1)
+            flags[start::2 * p] = bytes((limit - start) // (2 * p) + 1)
     return flags
 
 
@@ -202,14 +207,18 @@ def ap_max_scan(l_lo, l_hi, caps):
     caps[i] is the search ceiling for l = l_lo + i.  Returns
     (per_l, misses): per_l holds one (l, b_of_max, max_p) triple per l
     (zeros when no class produced a prime), misses lists every (l, b)
-    whose progression held no prime up to the cap.
+    whose progression held no prime up to the cap, b ascending.
 
-    Each class b, b+l, b+2l, ... is walked through one sieve table, built
-    once per call, instead of testing every term with Miller-Rabin.  The
-    table starts at the smaller of the largest cap and a fixed multiple of
-    l_hi, and doubles, never past the largest cap, only when a walk passes
-    its end below that walk's cap; so a huge cap costs memory only if some
-    least prime really lies that far out.
+    A sieve table, built once per call, is read in rows of width l: row
+    lo, lo + l, ... holds the next term of every class b at byte b.  The
+    classes still without a prime are the set bits 8*b of ``pending``, so
+    one AND of a row, read as an int, with ``pending`` settles every class
+    whose term there is prime.  A prime lies in one class only, so the
+    worst class is the top hit of the last row that had any.  The table
+    starts at the smaller of the largest cap and a fixed multiple of l_hi,
+    and doubles, never past the largest cap, only when a row passes its
+    end with classes pending below the cap; so a huge cap costs memory
+    only if some least prime really lies that far out.
     """
     top = max(caps, default=0)
     limit = max(1, min(top, _AP_TABLE_FACTOR * l_hi))
@@ -218,25 +227,50 @@ def ap_max_scan(l_lo, l_hi, caps):
     misses = []
     for i, l in enumerate(range(l_lo, l_hi + 1)):
         cap = caps[i]
-        stop = max(cap + 1, 0)  # a negative slice end would count from the top
+        pending = int.from_bytes(_unit_bytes(l), "little")
         best_p = 0
         best_b = 0
-        for b in range(1, l):
-            if gcd(b, l) != 1:
-                continue
-            j = flags[b:stop:l].find(1)
-            while j < 0 and cap > limit:
+        lo = 0
+        while pending and lo <= cap:
+            hi = min(lo + l, cap + 1)
+            hits = int.from_bytes(flags[lo:hi], "little") & pending
+            if hits:
+                pending ^= hits
+                best_b = (hits.bit_length() - 1) >> 3
+                best_p = lo + best_b
+            if hi > len(flags) and pending:
+                # hi <= cap + 1, so the table is below the cap: grow it and
+                # read the row again for the classes still pending.
                 limit = min(2 * limit, top)
                 flags = _sieve_bytes(limit)
-                j = flags[b:stop:l].find(1)
-            p = b + j * l if j >= 0 else 0
-            if p == 0:
-                misses.append((l, b))
-            elif p > best_p:
-                best_p = p
-                best_b = b
+                continue
+            lo += l
+        if pending:
+            row = pending.to_bytes(l, "little")
+            misses.extend((l, b) for b in range(l) if row[b])
         per_l.append((l, best_b, best_p))
     return per_l, misses
+
+
+def _unit_bytes(l):
+    """bytearray of length l, byte b == 1 iff gcd(b, l) == 1 and 0 < b.
+
+    The multiples of each prime factor of l, found by trial division, are
+    struck.
+    """
+    units = bytearray(b"\x01") * l
+    units[0] = 0
+    n = l
+    q = 2
+    while q * q <= n:
+        if n % q == 0:
+            units[::q] = bytes((l + q - 1) // q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        units[::n] = bytes((l + n - 1) // n)
+    return units
 
 
 def brent_factor(n):

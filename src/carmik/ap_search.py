@@ -55,8 +55,8 @@ class ApQuery:
             raise InvalidClassError(
                 f"gcd({self.residue}, {self.modulus}) > 1: the class holds at most one prime"
             )
-        if self.cap <= self.residue:
-            raise DomainError("cap must exceed the residue")
+        if self.cap < self.residue:
+            raise DomainError("cap must be at least the residue")
 
 
 @dataclass(frozen=True)
@@ -136,8 +136,10 @@ def heath_brown_scan(
 
     Every residue class b coprime to l is searched up to ``cap`` (default:
     default_cap(l) per modulus).  An empty range yields an empty table.
-    The scan is ``pure.ap_max_scan`` on either backend: its sieve table
-    beats the compiled scan's Miller-Rabin on every term.
+    The scan is ``pure.ap_max_scan`` on either backend: it reads a sieve
+    table in rows of width l, and one integer AND per row settles every
+    class whose term in that row is prime, where the compiled scan runs
+    Miller-Rabin on every term of every class.
     """
     if l_min < 2:
         raise DomainError("moduli start at 2")

@@ -2,10 +2,12 @@
 
 The certifier is factorization-based: n qualifies iff it is composite,
 squarefree, and p - 1 | n - 1 for every prime p | n; a certificate is that
-factorization, built from known primes or by factoring.  The census, the
-backend's ``carmichael_census``, applies the same test; the pure kernel
+factorization, built from known primes or by factoring.  The census,
+``pure.carmichael_census`` on either backend, applies the same test: it
 walks each n from its largest prime P, which Korselt forces to satisfy
-n == P (mod P(P - 1)), so it misses none.  The Fermat condition is only
+n == P (mod P(P - 1)), so it misses none, and it holds only the primes up
+to sqrt(limit), where the compiled smallest-prime-factor kernel holds four
+bytes per integer up to the limit.  The Fermat condition is only
 probed here, at seeded random bases (``fermat_probe``); the exhaustive
 all-bases oracle that cross-checks the certifier lives with the tests.
 """
@@ -16,7 +18,7 @@ import random
 from dataclasses import dataclass
 
 from . import arith
-from ._kernels import backend
+from ._kernels import pure
 from .errors import DomainError, InternalConsistencyError
 
 __all__ = [
@@ -131,7 +133,7 @@ def census(limit: int, nu_filter: int | None = None) -> list[tuple[int, int]]:
         raise DomainError("census needs limit >= 2")
     if limit >= arith.KERNEL_BOUND:
         raise DomainError("census beyond the 64-bit kernel bound is not supported")
-    rows = backend.carmichael_census(limit)
+    rows = pure.carmichael_census(limit)
     if nu_filter is not None:
         rows = [(n, k) for n, k in rows if k == nu_filter]
     return rows

@@ -37,6 +37,11 @@ class TestFirstPrimeInAp:
         with pytest.raises(DomainError):
             ap_search.first_prime_in_ap(9, 4, cap=3)
 
+    def test_cap_at_the_residue_tests_the_residue_alone(self):
+        assert ap_search.first_prime_in_ap(10, 3, cap=3).p == 3
+        with pytest.raises(SearchExhaustedError):
+            ap_search.first_prime_in_ap(10, 9, cap=9)
+
     def test_exhaustion_is_loud(self):
         with pytest.raises(SearchExhaustedError):
             ap_search.first_prime_in_ap(25, 24, cap=30)  # 24, 49 both composite

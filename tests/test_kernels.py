@@ -40,7 +40,7 @@ def test_both_backends_define_the_contract():
     contract = set()
     for path in package.rglob("*.py"):
         contract |= set(re.findall(r"\bbackend\.(\w+)", path.read_text()))
-    assert {"is_prime_u64", "carmichael_census", "subset_witness_mitm"} <= contract
+    assert {"is_prime_u64", "first_prime_in_ap", "subset_witness_mitm"} <= contract
     source = (KERNELS_DIR / "_native.pyx").read_text()
     compiled = set(re.findall(r"^(?:def )?(\w+)(?:\(| = )", source, flags=re.MULTILINE))
     assert sorted(contract - compiled) == []
@@ -57,6 +57,14 @@ PSI_WITHOUT_SMALL_FACTORS = (
     (7, 341550071728321),
     (9, 3825123056546413051),
 )
+
+
+def test_sieve_matches_trial_division_at_every_limit_to_3000():
+    # Covers limit < 4, where no even number is struck, and each limit at
+    # or just past an odd prime's square, where its first strike lands.
+    reference = [n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1)) for n in range(3001)]
+    for limit in range(3001):
+        assert pure._sieve_bytes(limit) == bytearray(reference[: limit + 1]), limit
 
 
 def test_small_n_against_a_sieve():
@@ -138,6 +146,19 @@ def scan_args(draw):
 # l = 283 and l = 337 have a least prime past 32 * l, the table's first size.
 @example((283, 283, [default_cap(283)]))
 @example((335, 338, [default_cap(l) for l in range(335, 339)]))
+# The benchmark's band; 1001's worst prime, 33107, and 1213's, 77003, lie
+# past 32 * l, so a row there runs off the table and grows it.
+@example((1000, 1003, [default_cap(l) for l in range(1000, 1004)]))
+@example((1213, 1213, [default_cap(1213)]))
+# The worst prime lies in the row that crosses the table's end, past it:
+# 10103 in 32 * 307 .. 33 * 307, and 62701 in 64 * 967 .. 65 * 967.
+@example((307, 307, [default_cap(307)]))
+@example((967, 967, [default_cap(967)]))
+# Class masks: five prime factors, a power of two, a power of three, a prime.
+@example((2310, 2310, [default_cap(2310)]))
+@example((1024, 1024, [default_cap(1024)]))
+@example((729, 729, [default_cap(729)]))
+@example((1009, 1009, [default_cap(1009)]))
 @example((3, 60, [10**12] * 58))
 @example((2, 30, [0] * 29))
 @example((2, 30, [-2] * 29))

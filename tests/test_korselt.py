@@ -4,6 +4,7 @@ import brute_force
 import pytest
 
 from carmik import arith, korselt
+from carmik._kernels import pure
 from carmik.errors import DomainError, InternalConsistencyError
 
 # Frozen by an exhaustive Korselt scan, cross-checked below by the
@@ -99,6 +100,13 @@ class TestCensus:
         for n, k in korselt.census(20_000):
             cert = korselt.is_carmichael(n)
             assert cert and cert.k_invariant == k
+
+    def test_census_runs_the_pure_kernel_on_either_backend(self, monkeypatch):
+        calls = []
+        census = pure.carmichael_census
+        monkeypatch.setattr(pure, "carmichael_census", lambda *args: calls.append(args) or census(*args))
+        assert korselt.census(600) == [(561, 2)]
+        assert calls == [(600,)]
 
     def test_extended_counts(self):
         # Frozen from the scan itself and probed below; the tail rows are
