@@ -49,6 +49,14 @@ def workloads():
     mr_values = [rng.randrange(2**62) for _ in range(20_000)]
     # The sizes the construction harvest tests: q = g*j + 1 and p = d*k*nu + 1.
     mr_harvest = [rng.randrange(2**34, 2**52) for _ in range(20_000)]
+    # Most of those are composites that the first base settles; a prime
+    # takes every base of its set.
+    mr_primes = []
+    while len(mr_primes) < 20_000:
+        n = rng.randrange(2**34, 2**52) | 1
+        while not pure.is_prime_u64(n):
+            n += 2
+        mr_primes.append(n)
     ap_caps = [int(l * math.log(l) ** 3) + 100 for l in range(2, 501)]
     band = range(1000, 1200)
     band_caps = [int(l * math.log(l) ** 3) + 100 for l in band]
@@ -58,6 +66,7 @@ def workloads():
     yield "sieve [1e12, 1e12+1e6]", lambda b: b.primes_in_range(10**12, 10**12 + 10**6)
     yield "miller-rabin x 20k", lambda b: [b.is_prime_u64(n) for n in mr_values]
     yield "miller-rabin x 20k, 2^34..2^52", lambda b: [b.is_prime_u64(n) for n in mr_harvest]
+    yield "miller-rabin x 20k primes, 2^34..2^52", lambda b: [b.is_prime_u64(n) for n in mr_primes]
     yield "ap scan l <= 500", lambda b: b.ap_max_scan(2, 500, ap_caps)
     # One call, so one table, per modulus, as in perfbench's ap_scan.
     yield "ap scan, one call per l = 1000..1199", lambda b: [

@@ -26,27 +26,21 @@ from math import gcd, isqrt, prod
 
 BACKEND_NAME = "pure"
 
-# Miller-Rabin bases: the first twelve primes.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-# Strong-pseudoprime bounds psi_k (OEIS A014233; Jaeschke 1993;
-# Sorenson-Webster 2017): every odd composite n < psi_k fails Miller-Rabin
-# to one of the first k prime bases.  Each entry is (psi_k, the first k
-# bases); psi_8 = psi_7 and psi_10 = psi_11 = psi_9, so those tiers are
-# skipped.  psi_12 = 318665857834031151167461 exceeds 2**64: twelve bases
-# are exact on the whole 64-bit range, and only a probable-prime test above.
-_MR_TIERS = tuple(
-    (psi, _MR_BASES[:k])
-    for psi, k in (
-        (2047, 1),
-        (1373653, 2),
-        (25326001, 3),
-        (3215031751, 4),
-        (2152302898747, 5),
-        (3474749660383, 6),
-        (341550071728321, 7),
-        (3825123056546413051, 9),
-    )
+# Minimal Miller-Rabin base sets, as published at miller-rabin.appspot.com
+# and used by the "Step 2" tiers of sympy's isprime.  Each entry is
+# (bound, bases): bound is the least composite that is a strong probable
+# prime to every base reduced mod it, so the set is exact below bound, and
+# the last one (Sinclair's seven bases) on the whole 64-bit range.
+_MR_TIERS = (
+    (341531, (9345883071009581737,)),
+    (350269456337, (4230279247111683200, 14694767155120705706, 16641139526367750375)),
+    (55245642489451, (2, 141889084524735, 1199124725622454117, 11096072698276303650)),
+    (7999252175582851,
+     (2, 4130806001517, 149795463772692060, 186635894390467037, 3967304179347715805)),
+    (585226005592931977,
+     (2, 123635709730000, 9233062284813009, 43835965440333360, 761179012939631437,
+      1263739024124850375)),
+    (2**64, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)),
 )
 
 # Search outcome codes shared by the subset-product kernels.
@@ -60,27 +54,32 @@ def is_prime_u64(n, bases=None):
 
     n <= 211 is looked up in the small-prime set, and a larger n sharing a
     factor with the primes up to 211 is composite.  Survivors go to
-    Miller-Rabin: by default with the fewest leading prime bases that are
-    exact below n (``_MR_TIERS``), twelve from psi_9 on; with an explicit
-    ``bases``, with exactly those bases, answering whether n is a strong
-    probable prime to each of them.
+    Miller-Rabin: by default with the first ``_MR_TIERS`` set whose bound
+    exceeds n, one to seven bases; with an explicit ``bases``, with exactly
+    those bases, answering whether n is a strong probable prime to each of
+    them.  Each base is reduced mod n and skipped when below 2, since a
+    base set may hold a multiple of a prime it is exact for (98207 divides
+    the one base below 341531).
     """
     if n <= 211:
         return n in _SMALL_PRIMES
     if gcd(n, _SMALL_PRODUCT) != 1:
         return False
     if bases is None:
-        bases = _MR_BASES
-        for psi, tier in _MR_TIERS:
-            if n < psi:
-                bases = tier
+        for bound, bases in _MR_TIERS:
+            if n < bound:
                 break
+        else:
+            raise OverflowError(f"{n} >= 2**64 needs explicit bases")
     d = n - 1
     s = 0
     while d % 2 == 0:
         d //= 2
         s += 1
     for a in bases:
+        a %= n
+        if a < 2:
+            continue
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

@@ -4,14 +4,15 @@ Primality policy
 ----------------
 Below ``KERNEL_BOUND`` (2**63) primality is decided exactly by the kernel
 backend's ``is_prime_u64``.  The pure kernel rejects n with one gcd against
-the primes up to 211, then runs Miller-Rabin with the fewest leading prime
-bases that are exact below n (the strong-pseudoprime bounds psi_k, OEIS
-A014233); the compiled kernel trial-divides by its 12 bases and runs all
-12.  The two give the same answer below 2**64.  At or above the bound,
-``is_prime`` runs the pure kernel with the fixed, documented base set
-``LARGE_BASES`` (the first 25 primes), after the same gcd: a probable-prime
-method, but a reproducible one, and the range this package actually
-exercises is cross-checked exactly by the test suite.
+the primes up to 211, then runs Miller-Rabin with the smallest published
+base set that is exact at n's size (miller-rabin.appspot.com: one base
+below 341531, three to six below 585226005592931977, seven below 2**64);
+the compiled kernel trial-divides by the first 12 primes and uses all 12
+as bases.  Both are exact below 2**64, so they give the same answer.  At
+or above the bound, ``is_prime`` runs the pure kernel with the fixed,
+documented base set ``LARGE_BASES`` (the first 25 primes), after the same
+gcd: a probable-prime method, but a reproducible one, and the range this
+package actually exercises is cross-checked exactly by the test suite.
 
 Factorization is trial division over a cached small-prime list followed by
 Brent's cycle method, recursing on cofactors: the backend's ``brent_factor``

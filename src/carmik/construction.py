@@ -293,6 +293,14 @@ def search_P(
     ties to the smallest k.  Returns (k, ((p, d), ...)) with d ascending.
     Each divisor's candidates are sieved by the primes up to _SIEVE_BOUND
     before any primality test.
+
+    Only a strictly larger family changes the answer, so a k is tested only
+    while it can still beat the largest family seen so far: a k whose sieve
+    survivors are no more than that size is skipped, and testing within a
+    k stops once its hits plus its untested survivors are no more.  While
+    no family has reached min_count, the largest seen is below min_count,
+    so a skipped k could not have reached it either; the result and the
+    SearchExhaustedError stats are those of testing every survivor.
     """
     if nu % 2 != 0:
         raise DomainError("nu must be even")
@@ -318,15 +326,20 @@ def search_P(
         k = nu * c * k_step + 1
         if math.gcd(k, ll) != 1:
             continue
-        hits = tuple(
-            (d * k * nu + 1, d)
-            for d, sieve in zip(divisors, sieves)
-            if sieve[k_step] and arith.is_prime(d * k * nu + 1)
-        )
+        left = [d for d, sieve in zip(divisors, sieves) if sieve[k_step]]
+        hits = []
+        for i, d in enumerate(left):
+            # Stop once even a hit at every untested survivor could not beat
+            # best_any; at i = 0 that skips k without a test.
+            if len(hits) + len(left) - i <= best_any[0]:
+                break
+            p = d * k * nu + 1
+            if arith.is_prime(p):
+                hits.append((p, d))
         if len(hits) > best_any[0]:
             best_any = (len(hits), k)
         if len(hits) >= min_count and (best is None or len(hits) > len(best[1])):
-            best = (k, hits)
+            best = (k, tuple(hits))
             if len(hits) == len(divisors):
                 break  # no candidate can beat a full family
     if best is None:

@@ -4,12 +4,16 @@ The residue checks loop over all residues mod n, so they suit only small
 n.  The compiled backend keeps a twin of the first four and of
 ``smallest_prime_factors``, which ``test_native_parity.py`` compares
 against these.  ``spf_census`` is the Korselt scan over every odd n that
-the census kernels are checked against.
+the census kernels are checked against, and ``search_P`` is the family
+search that tests every candidate with ``sympy.isprime``.
 """
 
-from math import gcd, isqrt
+from itertools import combinations
+from math import gcd, isqrt, prod
 
 import sympy
+
+from carmik.errors import DomainError, SearchExhaustedError
 
 
 def fermat_all_bases(n):
@@ -83,3 +87,39 @@ def spf_census(limit):
         if good:
             out.append((n, k))
     return out
+
+
+def search_P(l_own, l_other, nu, omega_d, k_cap, min_count, k1=None):
+    """construction.search_P testing every candidate p: no sieve, no pruning."""
+    ll = l_own.value * l_other.value
+    if k1 is not None and gcd(k1, nu * ll) != 1:
+        raise DomainError("supplied k1 is not coprime to nu*L1*L2")
+    divisors = sorted(prod(c) for c in combinations(l_own.primes, omega_d))
+    if not divisors:
+        raise SearchExhaustedError(
+            f"no divisor of {l_own.value} has {omega_d} prime factors",
+            omega_d=omega_d,
+            available=l_own.omega,
+        )
+    best, best_any = None, (0, 0)
+    for k_step in range(1, k_cap + 1):
+        k = nu * k_step + 1 if k1 is None else nu * k_step * k1 + 1
+        if gcd(k, ll) != 1:
+            continue
+        hits = tuple((d * k * nu + 1, d) for d in divisors if sympy.isprime(d * k * nu + 1))
+        if len(hits) > best_any[0]:
+            best_any = (len(hits), k)
+        if len(hits) >= min_count and (best is None or len(hits) > len(best[1])):
+            best = (k, hits)
+            if len(hits) == len(divisors):
+                break
+    if best is None:
+        raise SearchExhaustedError(
+            f"no k <= {k_cap} produced {min_count} primes over {len(divisors)} divisors",
+            k_cap=k_cap,
+            min_count=min_count,
+            divisors=len(divisors),
+            best_size=best_any[0],
+            best_k=best_any[1],
+        )
+    return best

@@ -1,9 +1,14 @@
+import collections
 import dataclasses
 import itertools
 import math
 from fractions import Fraction
 
+import brute_force
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carmik import arith, construction as cons
 from carmik.errors import ConfigError, DomainError, InternalConsistencyError, SearchExhaustedError
@@ -119,47 +124,13 @@ def reference_populate_R(j_product, omega_g, j_cap):
     return cons.RMap(buckets=buckets, misses=tuple(misses))
 
 
-def reference_search_P(l_own, l_other, nu, omega_d, k_cap, min_count, k1=None):
-    """search_P testing every candidate p, with no sieve."""
-    ll = l_own.value * l_other.value
-    if k1 is not None and math.gcd(k1, nu * ll) != 1:
-        raise DomainError("supplied k1 is not coprime to nu*L1*L2")
-    divisors = sorted(math.prod(c) for c in itertools.combinations(l_own.primes, omega_d))
-    if not divisors:
-        raise SearchExhaustedError(
-            f"no divisor of {l_own.value} has {omega_d} prime factors",
-            omega_d=omega_d,
-            available=l_own.omega,
-        )
-    best, best_any = None, (0, 0)
-    for k_step in range(1, k_cap + 1):
-        k = nu * k_step + 1 if k1 is None else nu * k_step * k1 + 1
-        if math.gcd(k, ll) != 1:
-            continue
-        hits = tuple((d * k * nu + 1, d) for d in divisors if arith.is_prime(d * k * nu + 1))
-        if len(hits) > best_any[0]:
-            best_any = (len(hits), k)
-        if len(hits) >= min_count and (best is None or len(hits) > len(best[1])):
-            best = (k, hits)
-            if len(hits) == len(divisors):
-                break
-    if best is None:
-        raise SearchExhaustedError(
-            f"no k <= {k_cap} produced {min_count} primes over {len(divisors)} divisors",
-            k_cap=k_cap,
-            min_count=min_count,
-            divisors=len(divisors),
-            best_size=best_any[0],
-            best_k=best_any[1],
-        )
-    return best
-
-
 def outcome(fn, *args, **kwargs):
     try:
         return "ok", fn(*args, **kwargs)
     except SearchExhaustedError as exc:
         return "exhausted", str(exc), exc.stats
+    except DomainError as exc:
+        return "domain", str(exc)
 
 
 def assert_rmap_equal(got, want):
@@ -177,11 +148,11 @@ def assert_families_match(rmap, nu, size, omega_d, k_cap):
     q1, q2 = cons.split_Q(bucket, size)
     l1, l2 = cons.squarefree_product(q1), cons.squarefree_product(q2)
     got = outcome(cons.search_P, l1, l2, nu, omega_d, k_cap, 1)
-    assert got == outcome(reference_search_P, l1, l2, nu, omega_d, k_cap, 1)
+    assert got == outcome(brute_force.search_P, l1, l2, nu, omega_d, k_cap, 1)
     if got[0] == "ok":
         k1 = got[1][0]
         got = outcome(cons.search_P, l2, l1, nu, omega_d, k_cap, 1, k1=k1)
-        assert got == outcome(reference_search_P, l2, l1, nu, omega_d, k_cap, 1, k1=k1)
+        assert got == outcome(brute_force.search_P, l2, l1, nu, omega_d, k_cap, 1, k1=k1)
 
 
 # The construct benchmark's small variants (omega_g = 1, j_cap = 40,
@@ -195,8 +166,35 @@ BENCHMARK_VARIANTS = (
 )
 
 
+ODD_PRIMES = arith.primes_in_range(3, 1500)
+
+
+def counted(test, calls):
+    """test, counting its calls in calls[test.__name__]."""
+
+    def wrapper(n):
+        calls[test.__name__] += 1
+        return test(n)
+
+    return wrapper
+
+
+@st.composite
+def family_searches(draw):
+    """search_P arguments over small disjoint Q sets, in both modes."""
+    q = draw(st.lists(st.sampled_from(ODD_PRIMES), min_size=2, max_size=8, unique=True))
+    cut = draw(st.integers(max(1, len(q) - 4), min(4, len(q) - 1)))
+    l_own, l_other = factored(*sorted(q[:cut])), factored(*sorted(q[cut:]))
+    nu = draw(st.sampled_from((2, 4, 6, 8, 10, 12)))
+    k1 = draw(st.none() | st.integers(1, 100).map(lambda t: nu * t + 1))
+    omega_d = draw(st.integers(1, 2))
+    k_cap = draw(st.integers(1, 300))
+    min_count = draw(st.integers(1, 3))
+    return l_own, l_other, nu, omega_d, k_cap, min_count, k1
+
+
 class TestCandidateSieves:
-    """populate_R's wheel and search_P's sieve change no result."""
+    """populate_R's wheel and search_P's sieve and pruning change no result."""
 
     def test_small_windows_match_the_plain_walks(self):
         for z in range(4, 61):
@@ -230,6 +228,32 @@ class TestCandidateSieves:
         sieve_primes = math.prod(arith.primes_in_range(2, cons._SIEVE_BOUND))
         cons.search_P(factored(149, 173), factored(269, 293), 2, 1, 500, 1)
         assert tested and all(math.gcd(p, sieve_primes) == 1 for p in tested)
+
+    @settings(deadline=None, max_examples=200)
+    @given(family_searches())
+    def test_pruned_search_matches_the_plain_walk(self, args):
+        *head, k1 = args
+        assert outcome(cons.search_P, *head, k1=k1) == outcome(brute_force.search_P, *head, k1=k1)
+
+    def test_pruning_tests_fewer_candidates_than_the_sieve_leaves(self, monkeypatch):
+        # Family 1 of the z=500, nu=2, |Q|=4, omega_d=2 benchmark variant.
+        rmap = cons.populate_R(cons.build_J(500), 1, 40)
+        q1, q2 = cons.split_Q(cons.select_j0(rmap)[1], 4)
+        l1, l2 = cons.squarefree_product(q1), cons.squarefree_product(q2)
+        calls = collections.Counter()
+        for module, name in ((arith, "is_prime"), (sympy, "isprime")):
+            monkeypatch.setattr(module, name, counted(getattr(module, name), calls))
+        k, family = cons.search_P(l1, l2, 2, 2, 4000, 1)
+        assert brute_force.search_P(l1, l2, 2, 2, 4000, 1) == (k, family)
+        # What the search tested before pruning: every sieve survivor up to
+        # k_cap, since the family is not full.
+        divisors = sorted(math.prod(c) for c in itertools.combinations(q1, 2))
+        assert len(family) < len(divisors)
+        primes = arith.primes_in_range(2, cons._SIEVE_BOUND)
+        sieves = [cons._affine_sieve(4 * d, 2 * d + 1, 4000, primes) for d in divisors]
+        ll = l1.value * l2.value
+        sieved = sum(s[t] for t in range(1, 4001) if math.gcd(2 * t + 1, ll) == 1 for s in sieves)
+        assert 20 * calls["is_prime"] < sieved < calls["isprime"]
 
 
 class TestSelectJ0:

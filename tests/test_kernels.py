@@ -47,6 +47,8 @@ def test_both_backends_define_the_contract():
     assert sorted(n for n in contract if not hasattr(pure, n)) == []
 
 
+TWELVE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
 # psi_k (OEIS A014233) with no prime factor <= 211: the least odd composite
 # that is a strong probable prime to the first k prime bases.
 PSI_WITHOUT_SMALL_FACTORS = (
@@ -68,33 +70,70 @@ def test_sieve_matches_trial_division_at_every_limit_to_3000():
 
 
 def test_small_n_against_a_sieve():
-    flags = pure._sieve_bytes(50_000)
-    assert [pure.is_prime_u64(n) for n in range(-3, 50_001)] == [False] * 3 + list(map(bool, flags))
+    # The whole range of the one-base tier.
+    limit = pure._MR_TIERS[0][0]
+    flags = pure._sieve_bytes(limit)
+    got = [pure.is_prime_u64(n) for n in range(-3, limit + 1)]
+    assert got == [False] * 3 + list(map(bool, flags))
 
 
 @pytest.mark.parametrize("k, psi", PSI_WITHOUT_SMALL_FACTORS)
 def test_tier_boundaries_reject_each_psi(k, psi):
-    # psi_k fools its own k bases, so a tier that reached n == psi_k with
-    # only k bases would call it prime.
-    assert pure.is_prime_u64(psi, pure._MR_BASES[:k])
+    # psi_k fools the first k prime bases; the default base sets and all
+    # twelve of them reject it.
+    assert pure.is_prime_u64(psi, TWELVE_PRIMES[:k])
     assert not pure.is_prime_u64(psi)
-    assert not pure.is_prime_u64(psi, pure._MR_BASES)
+    assert not pure.is_prime_u64(psi, TWELVE_PRIMES)
 
 
 def test_twelve_bases_are_not_exact_past_psi_12():
     psi_12 = 318665857834031151167461  # > 2**64: outside the exact range
-    assert pure.is_prime_u64(psi_12) and not sympy.isprime(psi_12)
+    assert pure.is_prime_u64(psi_12, TWELVE_PRIMES) and not sympy.isprime(psi_12)
+    with pytest.raises(OverflowError):
+        pure.is_prime_u64(psi_12)  # the default bases are exact below 2**64 only
+
+
+# The finite bounds of the default base sets, each with its set.
+FINITE_TIERS = pure._MR_TIERS[:-1]
+
+
+@pytest.mark.parametrize("bound, bases", FINITE_TIERS, ids=[str(b) for b, _ in FINITE_TIERS])
+def test_each_base_set_is_fooled_at_its_bound(bound, bases):
+    # The bound is the least composite that passes its set, so the default
+    # must have moved on to the next set there.
+    assert not sympy.isprime(bound)
+    assert pure.is_prime_u64(bound, bases)
+    assert not pure.is_prime_u64(bound)
+
+
+def test_a_base_that_is_a_multiple_of_n_is_skipped():
+    # 98207 divides the one base below 341531, and 3709689913 divides the
+    # second of the three below 350269456337: each base is 0 mod its prime.
+    for n, (_, bases) in ((98207, pure._MR_TIERS[0]), (3709689913, pure._MR_TIERS[1])):
+        assert any(a % n == 0 for a in bases)
+        assert pure.is_prime_u64(n)
 
 
 PRIME_ABOVE_211 = st.integers(212, 2**32 - 100).map(sympy.nextprime)
 
 
+def examples(values):
+    """An @example for each of values."""
+
+    def apply(test):
+        for value in values:
+            test = example(value)(test)
+        return test
+
+    return apply
+
+
 @settings(deadline=None, max_examples=300)
 @given(
     st.one_of(
-        st.sampled_from([psi for _, psi in PSI_WITHOUT_SMALL_FACTORS]).flatmap(
-            lambda psi: st.integers(psi - 3000, psi + 3000)
-        ),
+        st.sampled_from(
+            [psi for _, psi in PSI_WITHOUT_SMALL_FACTORS] + [bound for bound, _ in FINITE_TIERS]
+        ).flatmap(lambda edge: st.integers(edge - 3000, edge + 3000)),
         st.integers(2**34, 2**52),
         st.integers(2**34, 2**52).map(sympy.nextprime),
         st.tuples(PRIME_ABOVE_211, PRIME_ABOVE_211).map(lambda t: t[0] * t[1]),
@@ -102,10 +141,11 @@ PRIME_ABOVE_211 = st.integers(212, 2**32 - 100).map(sympy.nextprime)
     )
 )
 @example(2**64 - 59)  # the largest 64-bit prime
+@examples(n for bound, _ in FINITE_TIERS for n in range(bound - 2, bound + 3))
 def test_tiered_bases_agree_with_twelve_and_sympy(n):
     expected = sympy.isprime(n)
     assert pure.is_prime_u64(n) == expected
-    assert pure.is_prime_u64(n, pure._MR_BASES) == expected
+    assert pure.is_prime_u64(n, TWELVE_PRIMES) == expected
 
 
 def reference_ap_max_scan(l_lo, l_hi, caps):

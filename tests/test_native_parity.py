@@ -16,7 +16,11 @@ from carmik._kernels import pure
 native = pytest.importorskip("carmik._kernels._native")
 
 CARMICHAELS = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265]
-EDGE_VALUES = [0, 1, 2, 3, 4, 5, 16, 561, 647, 2**31 - 1, 2**32 + 15, 2**61 - 1]
+EDGE_VALUES = [0, 1, 2, 3, 4, 5, 16, 561, 647, 2**31 - 1, 2**32 + 15, 2**61 - 1, 2**64 - 59]
+# Each bound of the pure kernel's default base sets, and two primes that
+# divide a base of their own set.
+EDGE_VALUES += [bound + e for bound, _ in pure._MR_TIERS[:-1] for e in (-2, 0, 2)]
+EDGE_VALUES += [98207, 3709689913]
 
 
 def test_is_prime_parity():
