@@ -1,8 +1,8 @@
 from setuptools import Extension, setup
 
-# The compiled kernels build from the tracked C that Cython generated from
-# _native.pyx, so no Cython is needed.  optional=True: if the build fails,
-# the package installs as pure Python and falls back to carmik._kernels.pure.
+# The compiled kernels build from the hand-written C in _native.c.
+# optional=True: if the build fails, the package installs as pure Python and
+# falls back to carmik._kernels.pure.
 setup(
     ext_modules=[
         Extension(

@@ -1,15 +1,13 @@
 """Pure-Python kernel backend.
 
-Twin of the compiled backend in ``_native.pyx`` for every kernel the
+Twin of the compiled backend in ``_native.c`` for every kernel the
 library reads as ``backend.<name>``, the backend contract.  Everything here
 is exact integer arithmetic and deterministic; the two backends must
 return identical values for identical arguments, which
-``tests/test_native_parity.py`` enforces.  The library calls
-``ap_max_scan``, which settles a whole row of residue classes with one
-integer AND over a sieve table where the compiled scan runs Miller-Rabin
-on every term, ``carmichael_census``, which holds only the primes up to
-sqrt(limit) where the compiled one holds a 4-byte entry per integer, and
-``prefix_run_witness`` from here on either backend.
+``tests/test_native_parity.py`` enforces.  ``_MR_TIERS`` is the one table
+of Miller-Rabin base sets: the compiled module reads it when it loads.
+``ap_max_scan``, ``carmichael_census`` and ``prefix_run_witness`` have no
+compiled twin; the library calls them from here on either backend.
 
 Arguments fit in an unsigned 64-bit word, except where ``carmik.arith``
 hands this module larger operands: ``is_prime_u64`` with its own base set

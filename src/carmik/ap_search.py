@@ -138,8 +138,7 @@ def heath_brown_scan(
     default_cap(l) per modulus).  An empty range yields an empty table.
     The scan is ``pure.ap_max_scan`` on either backend: it reads a sieve
     table in rows of width l, and one integer AND per row settles every
-    class whose term in that row is prime, where the compiled scan runs
-    Miller-Rabin on every term of every class.
+    class whose term in that row is prime, so no term is tested alone.
     """
     if l_min < 2:
         raise DomainError("moduli start at 2")

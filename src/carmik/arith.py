@@ -7,8 +7,8 @@ backend's ``is_prime_u64``.  The pure kernel rejects n with one gcd against
 the primes up to 211, then runs Miller-Rabin with the smallest published
 base set that is exact at n's size (miller-rabin.appspot.com: one base
 below 341531, three to six below 585226005592931977, seven below 2**64);
-the compiled kernel trial-divides by the first 12 primes and uses all 12
-as bases.  Both are exact below 2**64, so they give the same answer.  At
+the compiled kernel trial-divides by the same primes and reads the same
+base sets.  Both are exact below 2**64, so they give the same answer.  At
 or above the bound, ``is_prime`` runs the pure kernel with the fixed,
 documented base set ``LARGE_BASES`` (the first 25 primes), after the same
 gcd: a probable-prime method, but a reproducible one, and the range this

@@ -100,29 +100,19 @@ def _read(path: Path) -> str:
 
 def _cmd_construct(args) -> int:
     rc = pipeline.parse_config(_read(args.config))
-    workdir = args.workdir
-    workdir.mkdir(parents=True, exist_ok=True)
-    timings: dict[str, float] = {}
-    try:
-        if args.resume:
-            instance = ConstructionInstance.parse(_read(args.resume))
-            print(f"resumed instance {pipeline.instance_fingerprint(instance)}")
-        else:
-            instance = pipeline.harvest_instance(rc.construction, timings)
-            (workdir / "instance.txt").write_text(instance.serialize())
-            print(f"instance {pipeline.instance_fingerprint(instance)}")
+    resumed = ConstructionInstance.parse(_read(args.resume)) if args.resume else None
+
+    def show(instance: ConstructionInstance) -> None:
+        label = "resumed instance" if resumed else "instance"
+        print(f"{label} {pipeline.instance_fingerprint(instance)}")
         print(f"j0={instance.j0} |Q|={len(instance.q1)}+{len(instance.q2)} "
               f"k1={instance.k1} k2={instance.k2} |P1|={len(instance.p1)} |P2|={len(instance.p2)}")
-        batch = pipeline.complete_batch(instance, rc, timings)
-    except StageError:
-        # The stages that ran, the failed one included, keep their times.
-        pipeline.write_timings(workdir, timings)
-        raise
-    paths = pipeline.write_outputs(workdir, batch, timings)
+
+    batch = pipeline.run_construction(rc, args.workdir, resumed, on_instance=show)
     for cert in batch.certificates:
         factors = "*".join(str(p) for p in cert.factors.primes)
         print(f"certified n = {cert.n} = {factors} (K = {cert.k_invariant})")
-    print(f"# wrote {paths['certificates']}")
+    print(f"# wrote {args.workdir / 'certificates.jsonl'}")
     return EXIT_OK
 
 

@@ -6,8 +6,7 @@ factorization, built from known primes or by factoring.  The census,
 ``pure.carmichael_census`` on either backend, applies the same test: it
 walks each n from its largest prime P, which Korselt forces to satisfy
 n == P (mod P(P - 1)), so it misses none, and it holds only the primes up
-to sqrt(limit), where the compiled smallest-prime-factor kernel holds four
-bytes per integer up to the limit.  The Fermat condition is only
+to sqrt(limit).  The Fermat condition is only
 probed here, at seeded random bases (``fermat_probe``); the exhaustive
 all-bases oracle that cross-checks the certifier lives with the tests.
 """

@@ -20,6 +20,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields as dc_fields
 from pathlib import Path
+from typing import Callable
 
 from . import arith, korselt, zerosum
 from .construction import (
@@ -284,11 +285,39 @@ def _certify(primes: list[int], cc: ConstructionConfig) -> korselt.CarmichaelCer
     return cert
 
 
-def run_construction(rc: RunConfig) -> CarmichaelBatch:
-    """Full pipeline: harvest, zero-sum, assemble, certify."""
+def run_construction(
+    rc: RunConfig,
+    workdir: str | Path | None = None,
+    instance: ConstructionInstance | None = None,
+    on_instance: Callable[[ConstructionInstance], None] | None = None,
+) -> CarmichaelBatch:
+    """Full pipeline: harvest, zero-sum, assemble, certify.
+
+    A given instance, one resumed from its document, skips the harvest.
+    on_instance sees the instance before the completion stages run.  With a
+    workdir, a fresh harvest writes instance.txt there, a success writes
+    ``write_outputs``'s files, and a StageError writes timings.json with
+    the stages that ran, the failed one included.
+    """
+    wd = None if workdir is None else Path(workdir)
+    if wd is not None:
+        wd.mkdir(parents=True, exist_ok=True)
     timings: dict[str, float] = {}
-    instance = harvest_instance(rc.construction, timings)
-    return complete_batch(instance, rc, timings)
+    try:
+        if instance is None:
+            instance = harvest_instance(rc.construction, timings)
+            if wd is not None:
+                (wd / "instance.txt").write_text(instance.serialize())
+        if on_instance is not None:
+            on_instance(instance)
+        batch = complete_batch(instance, rc, timings)
+    except StageError:
+        if wd is not None:
+            write_timings(wd, timings)
+        raise
+    if wd is not None:
+        write_outputs(wd, batch, timings)
+    return batch
 
 
 def independent_recheck(n: int, nu: int, effort_digits: int | None = None) -> None:

@@ -1,11 +1,10 @@
 """Brute-force references for the tests: every base, every unit, no shortcuts.
 
 The residue checks loop over all residues mod n, so they suit only small
-n.  The compiled backend keeps a twin of the first four and of
-``smallest_prime_factors``, which ``test_native_parity.py`` compares
-against these.  ``spf_census`` is the Korselt scan over every odd n that
-the census kernels are checked against, and ``search_P`` is the family
-search that tests every candidate with ``sympy.isprime``.
+n.  ``smallest_prime_factors`` is the table that ``spf_census``, the
+Korselt scan over every odd n, reads; the census kernels are checked
+against that scan.  ``search_P`` is the family search that tests every
+candidate with ``sympy.isprime``.
 """
 
 from itertools import combinations
@@ -14,11 +13,6 @@ from math import gcd, isqrt, prod
 import sympy
 
 from carmik.errors import DomainError, SearchExhaustedError
-
-
-def fermat_all_bases(n):
-    """True iff a**n == a (mod n) for every a in [0, n)."""
-    return all(pow(a, n, n) == a for a in range(n))
 
 
 def all_units_pow_one(n, exponent):
@@ -41,7 +35,7 @@ def count_coprime(n):
 
 def fermat_carmichael(n):
     """n is composite and a**n == a (mod n) for every a < n."""
-    return n >= 2 and not sympy.isprime(n) and fermat_all_bases(n)
+    return n >= 2 and not sympy.isprime(n) and all(pow(a, n, n) == a for a in range(n))
 
 
 def smallest_prime_factors(limit):

@@ -62,7 +62,8 @@ class TestIsPrime:
             ABOVE_U64.map(sympy.nextprime),
         )
     )
-    # Strong pseudoprimes to the 12 bases that are exact below 2**64.
+    # Strong pseudoprimes to the first 12 prime bases, which are exact below
+    # 2**64: psi_12 and psi_14 of OEIS A014233.
     @example(318665857834031151167461)
     @example(3317044064679887385961981)
     def test_large_operands_agree_with_sympy(self, n):

@@ -1,72 +1,62 @@
 """Backend parity: the compiled kernels must match the pure twins bit for bit.
 
-The four brute-force kernels and ``smallest_prime_factors`` that the
-compiled extension still carries have no pure twin; they are compared
-with ``brute_force``, the tests' reference.
+The module skips where the extension is not built;
+``test_kernels.test_compiled_twin_builds_and_matches_pure`` builds it in a
+temporary copy and runs this module there.
 """
 
 import math
 import random
 
-import brute_force
 import pytest
+from test_kernels import backend_contract
 
 from carmik._kernels import pure
 
 native = pytest.importorskip("carmik._kernels._native")
 
 CARMICHAELS = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265]
-EDGE_VALUES = [0, 1, 2, 3, 4, 5, 16, 561, 647, 2**31 - 1, 2**32 + 15, 2**61 - 1, 2**64 - 59]
+EDGE_VALUES = [0, 1, 2, 3, 4, 5, 16, 211, 212, 211 * 211, 211 * 211 + 2, 561, 647]
+EDGE_VALUES += [2**31 - 1, 2**32 + 15, 2**61 - 1, 2**63 - 25, 2**63 + 29, 2**64 - 59, 2**64 - 1]
 # Each bound of the pure kernel's default base sets, and two primes that
 # divide a base of their own set.
 EDGE_VALUES += [bound + e for bound, _ in pure._MR_TIERS[:-1] for e in (-2, 0, 2)]
 EDGE_VALUES += [98207, 3709689913]
 
 
+def test_the_module_defines_exactly_the_contract():
+    public = {name for name in dir(native) if not name.startswith("__")}
+    assert public == backend_contract()
+
+
 def test_is_prime_parity():
     rng = random.Random(1)
-    values = EDGE_VALUES + CARMICHAELS + [rng.randrange(2**62) for _ in range(2000)]
+    values = EDGE_VALUES + CARMICHAELS + [rng.randrange(2**64) for _ in range(2000)]
     for n in values:
         assert native.is_prime_u64(n) == pure.is_prime_u64(n), n
 
 
+def test_a_value_outside_the_word_is_refused():
+    for n in (2**64, 2**64 + 13, -1):
+        with pytest.raises(OverflowError):
+            native.is_prime_u64(n)
+
+
 def test_primes_in_range_parity():
-    cases = [(0, 100), (2, 2), (24, 28), (10, 20), (9999, 10500), (10**12, 10**12 + 1000)]
+    # Every short range at the bottom, where 2, the parity of lo and the
+    # squares of the first odd primes meet.
+    cases = [(lo, hi) for lo in range(60) for hi in range(max(lo - 1, 0), 60)]
+    cases += [(0, 100), (9999, 10500), (10**12, 10**12 + 1000), (2**32 - 100, 2**32 + 100)]
     for lo, hi in cases:
         assert native.primes_in_range(lo, hi) == pure.primes_in_range(lo, hi)
 
 
-def test_spf_parity():
-    assert native.smallest_prime_factors(1000) == brute_force.smallest_prime_factors(1000)
-
-
-def test_census_parity():
-    assert native.carmichael_census(100_000) == pure.carmichael_census(100_000)
-    assert native.carmichael_census(2) == pure.carmichael_census(2) == []
-
-
-def test_fermat_all_bases_parity():
-    for n in list(range(1, 80)) + [561, 1105, 563]:
-        assert native.fermat_all_bases(n) == brute_force.fermat_all_bases(n), n
-
-
-def test_unit_sweep_parity():
-    rng = random.Random(2)
-    for _ in range(300):
-        n = rng.randrange(2, 500)
-        e = rng.randrange(1, 200)
-        assert native.all_units_pow_one(n, e) == brute_force.all_units_pow_one(n, e)
-        assert native.first_unit_failing(n, e) == brute_force.first_unit_failing(n, e)
-
-
-def test_count_coprime_parity():
-    for n in range(1, 300):
-        assert native.count_coprime(n) == brute_force.count_coprime(n)
-
-
 def test_first_prime_in_ap_parity():
     rng = random.Random(3)
-    cases = [(4, 1, 1000), (2, 1, 1000), (25, 24, 30)]
+    # The last three end at the top of the word: the next term of the first
+    # two would pass 2**64 - 1, and the third's second term is 2**64 - 59.
+    cases = [(4, 1, 1000), (2, 1, 1000), (25, 24, 30),
+             (2**63, 1, 2**64 - 1), (2**64 - 2, 1, 2**64 - 1), (2**64 - 60, 1, 2**64 - 1)]
     while len(cases) < 200:
         l = rng.randrange(2, 500)
         b = rng.randrange(1, l)
@@ -74,11 +64,6 @@ def test_first_prime_in_ap_parity():
             cases.append((l, b, l * 50 + 100))
     for l, b, cap in cases:
         assert native.first_prime_in_ap(l, b, cap) == pure.first_prime_in_ap(l, b, cap)
-
-
-def test_ap_max_scan_parity():
-    caps = [int(l * math.log(l) ** 3) + 100 for l in range(2, 60)]
-    assert native.ap_max_scan(2, 59, caps) == pure.ap_max_scan(2, 59, caps)
 
 
 def test_brent_parity():
@@ -89,6 +74,9 @@ def test_brent_parity():
         n = p * q
         assert native.brent_factor(n) == pure.brent_factor(n), n
     assert native.brent_factor(3**10) == pure.brent_factor(3**10)
+    # A 62-bit semiprime, near the library's 2**63 kernel bound.
+    n = _prime(rng, 2**30, 2**31) * _prime(rng, 2**31, 2**32)
+    assert native.brent_factor(n) == pure.brent_factor(n), n
 
 
 def _prime(rng, lo, hi):
@@ -96,15 +84,6 @@ def _prime(rng, lo, hi):
         c = rng.randrange(lo | 1, hi, 2)
         if pure.is_prime_u64(c):
             return c
-
-
-def test_prefix_run_witness_parity():
-    rng = random.Random(5)
-    for _ in range(500):
-        m = rng.randrange(2, 500)
-        units = [a for a in range(1, m) if math.gcd(a, m) == 1]
-        elems = [rng.choice(units) for _ in range(rng.randrange(0, 20))]
-        assert native.prefix_run_witness(elems, m) == pure.prefix_run_witness(elems, m)
 
 
 def test_subset_search_parity():
@@ -120,6 +99,16 @@ def test_subset_search_parity():
             got_n = native.subset_witness_mitm(elems, m, cap)
             got_p = pure.subset_witness_mitm(elems, m, cap)
             assert got_n == got_p, (m, elems, cap)
+    # Moduli near the library's 2**63 kernel bound, where products need 128
+    # bits; an element's inverse, appended, makes a witness.
+    for _ in range(40):
+        m = rng.randrange(2**62, 2**63)
+        elems = [e for e in (rng.randrange(1, m) for _ in range(12)) if math.gcd(e, m) == 1]
+        if rng.random() < 0.5:
+            elems.append(pow(elems[0] * elems[-1], -1, m))
+        for search in ("subset_witness_exhaustive", "subset_witness_mitm"):
+            got_n = getattr(native, search)(elems, m, 0)
+            assert got_n == getattr(pure, search)(elems, m, 0), (m, elems, search)
 
 
 def test_backend_names():
