@@ -12,11 +12,11 @@ defines exactly them.
 Both Miller-Rabin twins use the minimal base sets of ``pure._MR_TIERS``,
 which the compiled module reads when it loads.  The census, the AP scan
 and the prefix-run witness have only a pure kernel, which the library
-calls on either backend: the census walks each n from its largest prime
-and holds the primes up to sqrt(limit), and the AP scan settles a row of
-residue classes with one integer AND over a sieve table.  The compiled
-backend is preferred when importable; set CARMIK_PURE=1 to force the
-fallback.  ``benchmarks/bench_kernels.py`` compares the two.
+calls on either backend: the census descends over the primes of n,
+largest first, and holds the primes up to sqrt(limit), and the AP scan
+settles a row of residue classes with one integer AND over a sieve table.
+The compiled backend is preferred when importable; set CARMIK_PURE=1 to
+force the fallback.  ``benchmarks/bench_kernels.py`` compares the two.
 """
 
 import os

@@ -7,7 +7,10 @@ return identical values for identical arguments, which
 ``tests/test_native_parity.py`` enforces.  ``_MR_TIERS`` is the one table
 of Miller-Rabin base sets: the compiled module reads it when it loads.
 ``ap_max_scan``, ``carmichael_census`` and ``prefix_run_witness`` have no
-compiled twin; the library calls them from here on either backend.
+compiled twin; the library calls them from here on either backend.  The
+census descends over the primes of n, largest first;
+``tests/brute_force.py`` keeps the linear walk over n == P (mod P(P - 1))
+that it replaced, as its reference.
 
 Arguments fit in an unsigned 64-bit word, except where ``carmik.arith``
 hands this module larger operands: ``is_prime_u64`` with its own base set
@@ -20,7 +23,8 @@ The product-one subset walk lives here once, as ``_product_one_walk``:
 either backend.
 """
 
-from math import gcd, isqrt, prod
+from bisect import bisect_right
+from math import gcd, isqrt, lcm, prod
 
 BACKEND_NAME = "pure"
 
@@ -131,49 +135,98 @@ def primes_in_range(lo, hi):
     return [lo + i for i in range(width) if seg[i]]
 
 
+# A node of the census walks its cofactor progression when that has at
+# most this many terms per prime that could come next, and branches on the
+# next prime otherwise.
+_WALK_PER_PRIME = 2
+
+
 def carmichael_census(limit):
     """All (n, K) with n <= limit a Carmichael number, ascending.
 
-    Walks each n from its largest prime factor P (Pinch, "The Carmichael
-    numbers up to 10^21", 2007).  By Korselt, n = P*m where m is a
-    squarefree product of odd primes below P, so at most their product,
-    and m == 1 (mod P - 1) with 1 < m != P, so m > P and P < sqrt(n).
-    Each such m that P does not divide gets a base-2 Fermat test, which
-    every Carmichael number passes, and ``_korselt_k`` decides the
-    survivors.  Only its largest prime finds n, so each n is found once,
-    and memory is the primes up to sqrt(limit).
+    A depth-first descent over the primes of n, largest first (Pinch, "The
+    Carmichael numbers up to 10^15", 1993).  A node holds the primes chosen
+    so far: N their product, L the lcm of their p - 1, K the gcd of their
+    p - 1, s the smallest and d how many.  The roots are the odd primes
+    P <= sqrt(limit), since Korselt puts the largest prime of n below
+    sqrt(n).  A node with gcd(N, L) > 1 holds nothing: a prime of N
+    dividing some p - 1 would make n == 0 and n == 1 modulo it.  N itself
+    is a row if d >= 3 and N == 1 (mod L).  Every other n below the node is
+    N*m with m a squarefree product of primes below s, at most their
+    product and limit // N, and m == N^-1 (mod L).  When that progression
+    has few terms for the primes q < s that could come next, each term gets
+    a base-2 Fermat test, which every Carmichael number passes, and
+    ``_cofactor_k`` decides the survivors; otherwise the node branches on
+    q.  Each n is found once, on the path of its own primes, and memory is
+    the primes up to sqrt(limit).
     """
     odd_primes = primes_in_range(3, isqrt(max(limit, 0)))
+    # caps[i]: product of the odd primes below odd_primes[i], kept while at
+    # most limit; past the end of caps that bound is looser than limit // N.
+    caps = [1]
+    for p in odd_primes:
+        if caps[-1] * p > limit:
+            break
+        caps.append(caps[-1] * p)
     out = []
-    m_cap = 1  # product of the odd primes below P, capped at limit
+
+    def node(big_n, lam, k, i, depth):
+        if depth >= 3 and big_n % lam == 1:
+            out.append((big_n, k))
+        m_top = limit // big_n
+        if i < len(caps):
+            m_top = min(m_top, caps[i])
+        first = pow(big_n, -1, lam)
+        if first == 1:
+            first += lam
+        terms = (m_top - first) // lam + 1 if m_top >= first else 0
+        # At d = 1 the cofactor needs two primes, so the next is at most a
+        # third of it.
+        count = min(i, bisect_right(odd_primes, m_top // 3 if depth == 1 else m_top))
+        if terms <= _WALK_PER_PRIME * count:
+            s = odd_primes[i]
+            for m in range(first, m_top + 1, lam):
+                n = big_n * m
+                # At d = 1, P | m would make n a prime power.
+                if (depth > 1 or m % s) and pow(2, n - 1, n) == 1:
+                    kn = _cofactor_k(n, m, k, s, odd_primes, 3 - depth)
+                    if kn:
+                        out.append((n, kn))
+        else:
+            for j in range(count):
+                q = odd_primes[j]
+                # Keep the child only if gcd(N*q, lcm(L, q - 1)) == 1.
+                if lam % q and gcd(big_n, q - 1) == 1:
+                    node(big_n * q, lcm(lam, q - 1), gcd(k, q - 1), j, depth + 1)
+
     for i, big in enumerate(odd_primes):
-        for m in range(2 * big - 1, min(limit // big, m_cap) + 1, big - 1):
-            n = big * m
-            if m % big and pow(2, n - 1, n) == 1:
-                k = _korselt_k(n, m, big, odd_primes[:i])
-                if k:
-                    out.append((n, k))
-        m_cap = min(m_cap * big, limit)
+        node(big, big - 1, big - 1, i, 1)
     out.sort()
     return out
 
 
-def _korselt_k(n, m, big, primes):
-    """K of n = big*m if m is a squarefree product of ``primes``, the odd
-    primes below big, each with p - 1 | n - 1; else 0."""
-    k = big - 1
-    for q in primes:
+def _cofactor_k(n, m, k, s, odd_primes, need):
+    """K of n = N*m, given k = gcd(p - 1) over the primes of N, if m is a
+    squarefree product of at least ``need`` odd primes below s, each with
+    q - 1 | n - 1; else 0.  ``odd_primes`` ascends from 3."""
+    for q in odd_primes:
         if q * q > m:
             break
+        if q >= s:
+            return 0  # m >= q*q has no prime factor below q
         if m % q == 0:
             m //= q
             if m % q == 0 or (n - 1) % (q - 1):
                 return 0
             k = gcd(k, q - 1)
-    # Trial division leaves 1 or one prime, which must lie below big.
-    if m > 1 and (m >= big or (n - 1) % (m - 1)):
-        return 0
-    return gcd(k, m - 1)
+            need -= 1
+    # Trial division leaves 1 or one prime, which must lie below s.
+    if m > 1:
+        if m >= s or (n - 1) % (m - 1):
+            return 0
+        k = gcd(k, m - 1)
+        need -= 1
+    return k if need <= 0 else 0
 
 
 def first_prime_in_ap(modulus, residue, cap):

@@ -4,17 +4,21 @@ The certifier is factorization-based: n qualifies iff it is composite,
 squarefree, and p - 1 | n - 1 for every prime p | n; a certificate is that
 factorization, built from known primes or by factoring.  The census,
 ``pure.carmichael_census`` on either backend, applies the same test: it
-walks each n from its largest prime P, which Korselt forces to satisfy
-n == P (mod P(P - 1)), so it misses none, and it holds only the primes up
-to sqrt(limit).  The Fermat condition is only
-probed here, at seeded random bases (``fermat_probe``); the exhaustive
-all-bases oracle that cross-checks the certifier lives with the tests.
+chooses the primes of n largest first, and where the product N of those
+chosen has few completions left it reads the cofactor m from the
+progression m == N^-1 (mod lcm(p - 1)) that Korselt forces, so it misses
+none.  It holds only the primes up to sqrt(limit), and ``census`` refuses
+a limit whose table of them would pass ``CENSUS_TABLE_CAP`` bytes.  The
+Fermat condition is only probed here, at seeded random bases
+(``fermat_probe``); the exhaustive all-bases oracle that cross-checks the
+certifier lives with the tests.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import isqrt
 
 from . import arith
 from ._kernels import pure
@@ -123,6 +127,11 @@ def _korselt_rejection(factors: arith.FactoredInteger) -> KorseltRejection | Non
     return None
 
 
+# The census sieves a table of sqrt(limit) bytes and lists the primes in
+# it before its first row; past this many bytes (limit > 10**16) it refuses.
+CENSUS_TABLE_CAP = 10**8
+
+
 def census(limit: int, nu_filter: int | None = None) -> list[tuple[int, int]]:
     """All Carmichael numbers n <= limit with their K values, ascending.
 
@@ -132,6 +141,12 @@ def census(limit: int, nu_filter: int | None = None) -> list[tuple[int, int]]:
         raise DomainError("census needs limit >= 2")
     if limit >= arith.KERNEL_BOUND:
         raise DomainError("census beyond the 64-bit kernel bound is not supported")
+    table = isqrt(limit)
+    if table > CENSUS_TABLE_CAP:
+        raise DomainError(
+            f"census({limit}) needs a prime table of {table} bytes, "
+            f"past the cap of {CENSUS_TABLE_CAP} bytes"
+        )
     rows = pure.carmichael_census(limit)
     if nu_filter is not None:
         rows = [(n, k) for n, k in rows if k == nu_filter]

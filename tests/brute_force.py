@@ -2,8 +2,10 @@
 
 The residue checks loop over all residues mod n, so they suit only small
 n.  ``smallest_prime_factors`` is the table that ``spf_census``, the
-Korselt scan over every odd n, reads; the census kernels are checked
-against that scan.  ``search_P`` is the family search that tests every
+Korselt scan over every odd n, reads; the census kernel is checked
+against that scan, and against ``walk_census``, the linear walk over
+n == P (mod P(P - 1)) from each largest prime P, at limits too large for
+the table.  ``search_P`` is the family search that tests every
 candidate with ``sympy.isprime``.
 """
 
@@ -12,6 +14,7 @@ from math import gcd, isqrt, prod
 
 import sympy
 
+from carmik._kernels.pure import primes_in_range
 from carmik.errors import DomainError, SearchExhaustedError
 
 
@@ -81,6 +84,51 @@ def spf_census(limit):
         if good:
             out.append((n, k))
     return out
+
+
+def walk_census(limit):
+    """All (n, K) with n <= limit a Carmichael number, ascending.
+
+    The census that walks each n from its largest prime factor P (Pinch,
+    "The Carmichael numbers up to 10^21", 2007).  By Korselt, n = P*m where
+    m is a squarefree product of odd primes below P, so at most their
+    product, and m == 1 (mod P - 1) with 1 < m != P, so m > P and
+    P < sqrt(n).  Each such m that P does not divide gets a base-2 Fermat
+    test, which every Carmichael number passes, and ``_korselt_k`` decides
+    the survivors.  Its cost is linear in limit; the descent in
+    ``pure.carmichael_census`` must return the same rows.
+    """
+    odd_primes = primes_in_range(3, isqrt(max(limit, 0)))
+    out = []
+    m_cap = 1  # product of the odd primes below P, capped at limit
+    for i, big in enumerate(odd_primes):
+        for m in range(2 * big - 1, min(limit // big, m_cap) + 1, big - 1):
+            n = big * m
+            if m % big and pow(2, n - 1, n) == 1:
+                k = _korselt_k(n, m, big, odd_primes[:i])
+                if k:
+                    out.append((n, k))
+        m_cap = min(m_cap * big, limit)
+    out.sort()
+    return out
+
+
+def _korselt_k(n, m, big, primes):
+    """K of n = big*m if m is a squarefree product of ``primes``, the odd
+    primes below big, each with p - 1 | n - 1; else 0."""
+    k = big - 1
+    for q in primes:
+        if q * q > m:
+            break
+        if m % q == 0:
+            m //= q
+            if m % q == 0 or (n - 1) % (q - 1):
+                return 0
+            k = gcd(k, q - 1)
+    # Trial division leaves 1 or one prime, which must lie below big.
+    if m > 1 and (m >= big or (n - 1) % (m - 1)):
+        return 0
+    return gcd(k, m - 1)
 
 
 def search_P(l_own, l_other, nu, omega_d, k_cap, min_count, k1=None):

@@ -62,6 +62,10 @@ class TestCensus:
             rows = list(csv.reader(fh))
         assert rows == [["n", "k_invariant"], ["1105", "4"], ["2465", "4"]]
 
+    def test_limit_past_the_table_cap(self, capsys):
+        assert cli.main(["census", "--limit", str(10**17)]) == 3
+        assert "past the cap of 100000000 bytes" in capsys.readouterr().err
+
 
 class TestApScan:
     def test_range_summary(self, capsys):

@@ -302,15 +302,43 @@ def test_census_rows_are_distinct_korselt_numbers_with_their_k():
 
 
 def test_census_never_fermat_tests_a_prime_power(monkeypatch):
-    # P**e can only be walked from P, where m = P**(e - 1) is a multiple of
-    # P and skipped: it cannot be squarefree.
+    # P**e could only be reached from the root P, where m = P**(e - 1) is a
+    # multiple of P and skipped: it cannot be squarefree.  Only the base-2
+    # calls are Fermat tests; the descent's other pow calls are inverses.
     tested = []
 
     def recording_pow(base, exponent, modulus):
-        tested.append(modulus)
+        if base == 2:
+            tested.append(modulus)
         return pow(base, exponent, modulus)
 
     monkeypatch.setattr(pure, "pow", recording_pow, raising=False)
     assert pure.carmichael_census(10**5) == reference_rows(10**5)
     assert tested
     assert [n for n in tested if len(sympy.primefactors(n)) == 1] == []
+    # The descent tests far fewer terms than a walk over n == P (mod P(P - 1))
+    # from every P, which makes 13 724 tests to 10^6.
+    tested.clear()
+    assert len(pure.carmichael_census(10**6)) == 43
+    assert len(tested) < 3000
+
+
+def test_walk_matches_the_spf_scan():
+    assert brute_force.walk_census(REFERENCE_LIMIT) == reference_census()
+
+
+@functools.cache
+def walk_rows():
+    return brute_force.walk_census(10**7)
+
+
+# The last three Carmichael numbers below 10^7.
+LAST_BELOW_1E7 = (9_585_541, 9_613_297, 9_890_881)
+
+
+@pytest.mark.parametrize(
+    "limit", [10**6, 10**7] + [n + delta for n in LAST_BELOW_1E7 for delta in (-1, 0, 1)]
+)
+def test_census_matches_the_walk(limit):
+    assert tuple(n for n, _ in walk_rows()[-3:]) == LAST_BELOW_1E7
+    assert pure.carmichael_census(limit) == [row for row in walk_rows() if row[0] <= limit]

@@ -108,6 +108,34 @@ class TestCensus:
         assert korselt.census(600) == [(561, 2)]
         assert calls == [(600,)]
 
+    def test_count_to_1e9(self):
+        # 646 is OEIS A055553 at 10^9; the K counts are those of the linear
+        # walk, which gave the same rows there.  Here, unlike at 10^7, the
+        # descent branches at N = 89*47 and must reach 62745 = 89*47*5*3
+        # as a node whose cofactor bound, 3, is its next prime.
+        counts = {}
+        for _, k in korselt.census(10**9):
+            counts[k] = counts.get(k, 0) + 1
+        assert sum(counts.values()) == 646
+        assert [counts[k] for k in range(2, 30, 2)] == [
+            210, 77, 127, 5, 28, 18, 4, 5, 19, 5, 1, 1, 3, 4,
+        ]
+
+    def test_refuses_a_prime_table_past_the_cap(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(pure, "carmichael_census", lambda limit: calls.append(limit) or [])
+        with pytest.raises(DomainError) as info:
+            korselt.census(10**17)
+        assert str(info.value) == (
+            "census(100000000000000000) needs a prime table of 316227766 bytes, "
+            "past the cap of 100000000 bytes"
+        )
+        top = (korselt.CENSUS_TABLE_CAP + 1) ** 2 - 1
+        assert korselt.census(top) == []
+        with pytest.raises(DomainError):
+            korselt.census(top + 1)
+        assert calls == [top]
+
     def test_extended_counts(self):
         # Frozen from the scan itself and probed below; the tail rows are
         # too large for the all-bases oracle, so they get a seeded probe.
