@@ -1,6 +1,7 @@
 /* Compiled kernel backend, written against the CPython C API.
 
-   Twin of pure.py for the six kernels the library reads as backend.<name>,
+   Twin of pure.py for the four kernels the library reads as backend.<name>
+   (primality, the sieve, Brent rho and the first prime in a progression),
    the backend contract; see that module for what each one returns.  Every
    integer argument is an unsigned 64-bit word: a Python int outside
    [0, 2**64) raises OverflowError.  Modular products are taken in 128 bits.
@@ -18,9 +19,6 @@
 
 typedef uint64_t u64;
 typedef unsigned __int128 u128;
-
-/* Search outcome codes of the subset-product kernels, as in pure.py. */
-enum { FOUND = 0, NO_WITNESS = 1, BUDGET_EXCEEDED = 2 };
 
 static inline u64 cm_mulmod(u64 a, u64 b, u64 m)
 {
@@ -50,20 +48,6 @@ static inline u64 cm_gcd(u64 a, u64 b)
     return a;
 }
 
-/* Inverse of a unit a mod m (extended Euclid). */
-static u64 cm_invmod(u64 a, u64 m)
-{
-    __int128 t = 0, newt = 1, r = m, newr = a % m;
-    while (newr != 0) {
-        __int128 q = r / newr, tmp;
-        tmp = t - q * newt; t = newt; newt = tmp;
-        tmp = r - q * newr; r = newr; newr = tmp;
-    }
-    if (t < 0)
-        t += m;
-    return (u64)t;
-}
-
 /* ---- argument conversion ---------------------------------------------- */
 
 static int as_u64(PyObject *o, u64 *out)
@@ -75,16 +59,16 @@ static int as_u64(PyObject *o, u64 *out)
     return 0;
 }
 
-/* Checks that a kernel got `want` arguments and converts args[first:want]. */
+/* Checks that a kernel got `want` arguments and converts each of them. */
 static int word_args(const char *name, PyObject *const *args, Py_ssize_t nargs,
-                     Py_ssize_t want, Py_ssize_t first, u64 *out)
+                     Py_ssize_t want, u64 *out)
 {
     if (nargs != want) {
         PyErr_Format(PyExc_TypeError, "%s() takes %zd arguments (%zd given)", name, want, nargs);
         return -1;
     }
-    for (Py_ssize_t i = first; i < want; i++)
-        if (as_u64(args[i], &out[i - first]) < 0)
+    for (Py_ssize_t i = 0; i < want; i++)
+        if (as_u64(args[i], &out[i]) < 0)
             return -1;
     return 0;
 }
@@ -204,7 +188,7 @@ static int list_append_u64(PyObject *list, u64 v)
 static PyObject *primes_in_range(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     u64 w[2];
-    if (word_args("primes_in_range", args, nargs, 2, 0, w) < 0)
+    if (word_args("primes_in_range", args, nargs, 2, w) < 0)
         return NULL;
     u64 lo = w[0] < 2 ? 2 : w[0], hi = w[1];
     if (hi < lo)
@@ -251,7 +235,7 @@ static PyObject *primes_in_range(PyObject *self, PyObject *const *args, Py_ssize
 static PyObject *first_prime_in_ap(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     u64 w[3];
-    if (word_args("first_prime_in_ap", args, nargs, 3, 0, w) < 0)
+    if (word_args("first_prime_in_ap", args, nargs, 3, w) < 0)
         return NULL;
     u64 l = w[0], t = w[1], cap = w[2], steps = 0;
     while (t <= cap) {
@@ -317,175 +301,6 @@ static PyObject *brent_factor(PyObject *self, PyObject *arg)
     }
 }
 
-/* ---- subset-product search ---------------------------------------------- */
-
-/* A preorder walk over index subsets: path[0:depth] are the chosen indices,
-   prods[j] the product of the first j of them. */
-typedef struct {
-    Py_ssize_t n;
-    u64 m, one, *red, *prods;
-    Py_ssize_t *path;
-} Walk;
-
-static int walk_init(Walk *w, PyObject *elements, u64 m)
-{
-    PyObject *seq = PySequence_Fast(elements, "elements must be a sequence");
-    if (seq == NULL)
-        return -1;
-    if (m == 0) {
-        Py_DECREF(seq);
-        PyErr_SetString(PyExc_ZeroDivisionError, "modulus must be positive");
-        return -1;
-    }
-    w->n = PySequence_Fast_GET_SIZE(seq);
-    w->m = m;
-    w->one = 1 % m;
-    w->red = malloc((2 * w->n + 1) * sizeof(u64));
-    w->path = malloc((w->n + 1) * sizeof(Py_ssize_t));
-    int ok = w->red != NULL && w->path != NULL;
-    if (!ok)
-        PyErr_NoMemory();
-    for (Py_ssize_t i = 0; ok && i < w->n; i++)
-        ok = as_u64(PySequence_Fast_GET_ITEM(seq, i), &w->red[i]) == 0;
-    Py_DECREF(seq);
-    if (!ok) {
-        free(w->red);
-        free(w->path);
-        return -1;
-    }
-    for (Py_ssize_t i = 0; i < w->n; i++)
-        w->red[i] %= m;
-    w->prods = w->red + w->n;
-    return 0;
-}
-
-static void walk_free(Walk *w)
-{
-    free(w->red);
-    free(w->path);
-}
-
-static PyObject *path_tuple(const Walk *w, Py_ssize_t depth)
-{
-    PyObject *out = PyTuple_New(depth);
-    for (Py_ssize_t j = 0; out != NULL && j < depth; j++) {
-        PyObject *v = PyLong_FromSsize_t(w->path[j]);
-        if (v == NULL)
-            Py_CLEAR(out);
-        else
-            PyTuple_SET_ITEM(out, j, v);
-    }
-    return out;
-}
-
-/* (status, witness): witness is a new reference, or NULL for None when no
-   error is set. */
-static PyObject *outcome(int status, PyObject *witness)
-{
-    if (witness == NULL && PyErr_Occurred())
-        return NULL;
-    return Py_BuildValue("(iN)", status, witness ? witness : Py_NewRef(Py_None));
-}
-
-/* One step of the walk over the indices below hi: go back up while i has
-   passed hi, then take index i.  Returns 0, or -1 when the walk is done. */
-static int walk_next(Walk *w, Py_ssize_t *depth, Py_ssize_t *i, Py_ssize_t hi)
-{
-    while (*i >= hi) {
-        if (*depth == 0)
-            return -1;
-        *i = w->path[--*depth] + 1;
-    }
-    w->path[*depth] = *i;
-    w->prods[*depth + 1] = cm_mulmod(w->prods[*depth], w->red[*i], w->m);
-    ++*depth;
-    ++*i;
-    return 0;
-}
-
-static PyObject *subset_witness_exhaustive(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    u64 mc[2];
-    Walk w;
-    if (word_args("subset_witness_exhaustive", args, nargs, 3, 1, mc) < 0
-        || walk_init(&w, args[0], mc[0]) < 0)
-        return NULL;
-    u64 cap = mc[1], nodes = 0;
-    Py_ssize_t depth = 0, i = 0;
-    PyObject *out = NULL;
-    w.prods[0] = w.one;
-    while (out == NULL) {
-        if (walk_next(&w, &depth, &i, w.n) < 0)
-            out = outcome(NO_WITNESS, NULL);
-        else if (cap && ++nodes > cap)
-            out = outcome(BUDGET_EXCEEDED, NULL);
-        else if (w.prods[depth] == w.one)
-            out = outcome(FOUND, path_tuple(&w, depth));
-    }
-    walk_free(&w);
-    return out;
-}
-
-/* Low-half products go in a dict, value -> the lex-first subset; each
-   high-half product is matched against the inverse.  The elements must be
-   units mod the modulus. */
-static PyObject *mitm_search(Walk *w, PyObject *table, Py_ssize_t cap)
-{
-    Py_ssize_t half = w->n / 2, depth = 0, i = 0;
-    w->prods[0] = w->one;
-    while (walk_next(w, &depth, &i, half) >= 0) {
-        u64 p = w->prods[depth];
-        if (p == w->one)
-            return outcome(FOUND, path_tuple(w, depth));
-        PyObject *key = PyLong_FromUnsignedLongLong(p);
-        int known = key ? PyDict_Contains(table, key) : -1;
-        if (known == 0 && cap && PyDict_GET_SIZE(table) >= cap) {
-            Py_DECREF(key);
-            return outcome(BUDGET_EXCEEDED, NULL);
-        }
-        PyObject *subset = known == 0 ? path_tuple(w, depth) : NULL;
-        int failed = known < 0 || (known == 0 && (subset == NULL || PyDict_SetItem(table, key, subset) < 0));
-        Py_XDECREF(key);
-        Py_XDECREF(subset);
-        if (failed)
-            return NULL;
-    }
-    depth = 0;
-    i = half;
-    while (walk_next(w, &depth, &i, w->n) >= 0) {
-        u64 p = w->prods[depth];
-        if (p == w->one)
-            return outcome(FOUND, path_tuple(w, depth));
-        PyObject *key = PyLong_FromUnsignedLongLong(cm_invmod(p, w->m));
-        PyObject *mate = key ? PyDict_GetItemWithError(table, key) : NULL;
-        Py_XDECREF(key);
-        if (mate != NULL) {
-            PyObject *high = path_tuple(w, depth);
-            PyObject *both = high ? PySequence_Concat(mate, high) : NULL;
-            Py_XDECREF(high);
-            return both ? outcome(FOUND, both) : NULL;
-        }
-        if (PyErr_Occurred())
-            return NULL;
-    }
-    return outcome(NO_WITNESS, NULL);
-}
-
-static PyObject *subset_witness_mitm(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    u64 mc[2];
-    Walk w;
-    if (word_args("subset_witness_mitm", args, nargs, 3, 1, mc) < 0
-        || walk_init(&w, args[0], mc[0]) < 0)
-        return NULL;
-    PyObject *table = PyDict_New(), *out = NULL;
-    if (table != NULL)
-        out = mitm_search(&w, table, (Py_ssize_t)(mc[1] > PY_SSIZE_T_MAX ? PY_SSIZE_T_MAX : mc[1]));
-    Py_XDECREF(table);
-    walk_free(&w);
-    return out;
-}
-
 /* ---- module ------------------------------------------------------------- */
 
 static PyMethodDef native_methods[] = {
@@ -497,10 +312,6 @@ static PyMethodDef native_methods[] = {
      "(p, steps): least prime p == residue (mod modulus) with p <= cap, or (0, steps)."},
     {"brent_factor", brent_factor, METH_O,
      "A nontrivial factor of odd composite n; the same path as the pure twin."},
-    {"subset_witness_exhaustive", (PyCFunction)(void (*)(void))subset_witness_exhaustive,
-     METH_FASTCALL, "Lex-first product-one subset by depth-first search; see the pure twin."},
-    {"subset_witness_mitm", (PyCFunction)(void (*)(void))subset_witness_mitm, METH_FASTCALL,
-     "Meet-in-the-middle product-one search; see the pure twin."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -6,9 +6,10 @@ is exact integer arithmetic and deterministic; the two backends must
 return identical values for identical arguments, which
 ``tests/test_native_parity.py`` enforces.  ``_MR_TIERS`` is the one table
 of Miller-Rabin base sets: the compiled module reads it when it loads.
-``ap_max_scan``, ``carmichael_census`` and ``prefix_run_witness`` have no
-compiled twin; the library calls them from here on either backend.  The
-census descends over the primes of n, largest first;
+``ap_max_scan``, ``carmichael_census`` and the subset-product searches
+(``prefix_run_witness``, ``subset_witness_mitm``, ``_product_one_walk``)
+have no compiled twin; the library calls them from here on either
+backend.  The census descends over the primes of n, largest first;
 ``tests/brute_force.py`` keeps the linear walk over n == P (mod P(P - 1))
 that it replaced, as its reference.
 
@@ -18,9 +19,9 @@ and ``_brent_round`` with a step budget, both of which are exact Python
 integer arithmetic at any size.
 
 The product-one subset walk lives here once, as ``_product_one_walk``:
-``subset_witness_exhaustive`` is its first hit, and
-``zerosum.enumerate_product_one_subsets`` runs it with a count cap on
-either backend.
+``zerosum.enumerate_product_one_subsets`` runs it with a count cap, and
+``subset_witness_exhaustive`` is its first hit, the lex-first witness
+that the tests compare the library's searches against.
 """
 
 from bisect import bisect_right

@@ -2,17 +2,18 @@
 
 Primality policy
 ----------------
-Below ``KERNEL_BOUND`` (2**63) primality is decided exactly by the kernel
+Below ``KERNEL_BOUND`` (2**64) primality is decided exactly by the kernel
 backend's ``is_prime_u64``.  The pure kernel rejects n with one gcd against
 the primes up to 211, then runs Miller-Rabin with the smallest published
 base set that is exact at n's size (miller-rabin.appspot.com: one base
 below 341531, three to six below 585226005592931977, seven below 2**64);
 the compiled kernel trial-divides by the same primes and reads the same
-base sets.  Both are exact below 2**64, so they give the same answer.  At
-or above the bound, ``is_prime`` runs the pure kernel with the fixed,
-documented base set ``LARGE_BASES`` (the first 25 primes), after the same
-gcd: a probable-prime method, but a reproducible one, and the range this
-package actually exercises is cross-checked exactly by the test suite.
+base sets.  Both are exact on the whole 64-bit word, which is the bound,
+so they give the same answer.  At or above it, ``is_prime`` runs the pure
+kernel with the fixed, documented base set ``LARGE_BASES`` (the first 25
+primes), after the same gcd: a probable-prime method, but a reproducible
+one, and the range this package actually exercises is cross-checked
+exactly by the test suite.
 
 Factorization is trial division over a cached small-prime list followed by
 Brent's cycle method, recursing on cofactors: the backend's ``brent_factor``
@@ -31,7 +32,7 @@ from typing import Iterable
 from ._kernels import backend, pure
 from .errors import DomainError, EmptyRangeError, FactorizationEffortError
 
-KERNEL_BOUND = 2**63
+KERNEL_BOUND = 2**64
 
 #: Miller-Rabin bases used for operands >= KERNEL_BOUND.
 LARGE_BASES = (
@@ -107,7 +108,7 @@ class FactoredInteger:
 
 
 def is_prime(n: int) -> bool:
-    """Exact below 2**63; reproducible probable-prime above (see module doc)."""
+    """Exact below 2**64; reproducible probable-prime above (see module doc)."""
     if n < 2:
         return False
     if n < KERNEL_BOUND:

@@ -139,8 +139,6 @@ def census(limit: int, nu_filter: int | None = None) -> list[tuple[int, int]]:
     """
     if limit < 2:
         raise DomainError("census needs limit >= 2")
-    if limit >= arith.KERNEL_BOUND:
-        raise DomainError("census beyond the 64-bit kernel bound is not supported")
     table = isqrt(limit)
     if table > CENSUS_TABLE_CAP:
         raise DomainError(

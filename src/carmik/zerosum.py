@@ -1,21 +1,20 @@
 """Subset-product-to-identity search in (Z/MZ)^*.
 
-Three interchangeable strategies, picked by sequence length when
-``strategy="auto"``:
+Two strategies, picked by sequence length when ``strategy="auto"``:
 
-* ``exhaustive``  — depth-first over index subsets (<= 24 elements); on
-  the pure backend this is ``pure._product_one_walk``, the preorder walk
-  ``enumerate_product_one_subsets`` runs too,
-* ``mitm``        — meet-in-the-middle on two halves (<= 48),
-* ``reach``       — reachability over the subset products themselves,
-  keeping the first index tuple that reaches each product mod M.
+* ``mitm``  — meet-in-the-middle on two halves (up to ``MITM_MAX``
+  elements), ``pure.subset_witness_mitm`` for every modulus,
+* ``reach`` — reachability over the subset products themselves, keeping
+  the first index tuple that reaches each product mod M.
 
 A cheap prefix-product pigeonhole pass runs first in every case; on random
-input it settles most queries immediately.  Every witness any strategy
+input it settles most queries immediately.  Every witness either strategy
 returns is re-verified by a direct modular product before reaching the
 caller.  Repeated elements are distinct by index (sequence semantics).
-No strategy factors M; the CRT decomposition and discrete logs below
-describe the group for ``carmik davenport``.
+``enumerate_product_one_subsets`` lists every witness with the preorder
+walk ``pure._product_one_walk``.  No strategy factors M; the CRT
+decomposition and discrete logs below describe the group for
+``carmik davenport``.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from . import arith
-from ._kernels import backend, pure
+from ._kernels import pure
 from .errors import DomainError, InternalConsistencyError, SearchExhaustedError
 
 __all__ = [
@@ -38,13 +37,10 @@ __all__ = [
     "enumerate_product_one_subsets",
 ]
 
-EXHAUSTIVE_MAX = 24
 MITM_MAX = 48
 
-# Budgets of find_product_one_subsequence, read at call time: search nodes
-# of the exhaustive walk, table entries of meet-in-the-middle, and reached
-# products of the reachability walk.
-_NODE_CAP = 50_000_000
+# Budgets of find_product_one_subsequence, read at call time: table entries
+# of meet-in-the-middle and reached products of the reachability walk.
 _TABLE_CAP = 4_194_304
 _STATE_CAP = 2_000_000
 
@@ -299,10 +295,10 @@ def find_product_one_subsequence(
 
     Every element must be a unit mod modulus.  None means the search space
     was covered completely without finding a witness; a blown budget
-    (``_NODE_CAP``, ``_TABLE_CAP`` or ``_STATE_CAP``, by strategy) raises
+    (``_TABLE_CAP`` or ``_STATE_CAP``, by strategy) raises
     SearchExhaustedError instead of guessing.
     """
-    if strategy not in ("auto", "exhaustive", "mitm", "reach"):
+    if strategy not in ("auto", "mitm", "reach"):
         raise DomainError(f"unknown strategy {strategy!r}")
     m = int(modulus)
     reduced = _validate_units(list(elements), m)
@@ -313,31 +309,16 @@ def find_product_one_subsequence(
     if run is not None:
         return _checked(run, reduced, m)
 
-    if strategy == "auto":
-        if len(reduced) <= EXHAUSTIVE_MAX:
-            strategy = "exhaustive"
-        elif len(reduced) <= MITM_MAX:
-            strategy = "mitm"
-        else:
-            strategy = "reach"
-
-    small = m < arith.KERNEL_BOUND
-    if strategy == "exhaustive":
-        search = backend.subset_witness_exhaustive if small else pure.subset_witness_exhaustive
-        status, witness = search(reduced, m, _NODE_CAP)
-    elif strategy == "mitm":
-        search = backend.subset_witness_mitm if small else pure.subset_witness_mitm
-        status, witness = search(reduced, m, _TABLE_CAP)
-    else:
+    if strategy == "reach" or (strategy == "auto" and len(reduced) > MITM_MAX):
         witness = _reach_walk(reduced, m, _STATE_CAP)
-        status = pure.FOUND if witness is not None else pure.NO_WITNESS
-
-    if status == pure.BUDGET_EXCEEDED:
-        raise SearchExhaustedError(
-            f"{strategy} search budget exhausted on {len(reduced)} elements",
-            strategy=strategy,
-            elements=len(reduced),
-        )
+    else:
+        status, witness = pure.subset_witness_mitm(reduced, m, _TABLE_CAP)
+        if status == pure.BUDGET_EXCEEDED:
+            raise SearchExhaustedError(
+                f"mitm search budget exhausted on {len(reduced)} elements",
+                strategy="mitm",
+                elements=len(reduced),
+            )
     if witness is None:
         return None
     return _checked(witness, reduced, m)
@@ -364,8 +345,8 @@ def enumerate_product_one_subsets(
     is truncated at count_cap (None: no cap).  node_cap bounds the number of
     search nodes; hitting it before the enumeration finished raises
     SearchExhaustedError rather than silently returning a partial answer.
-    The walk is ``pure._product_one_walk``, the one behind the exhaustive
-    strategy too.
+    The walk is ``pure._product_one_walk``, whose first hit is
+    ``pure.subset_witness_exhaustive``.
     """
     m = int(modulus)
     reduced = _validate_units(list(elements), m)

@@ -1,6 +1,7 @@
 import bisect
 import math
 import random
+import types
 
 import brute_force
 import pytest
@@ -48,6 +49,17 @@ class TestIsPrime:
         # Composites that fool single-base Fermat tests.
         for n in (2047, 1373653, 25326001, 3215031751, 3825123056546413051):
             assert not arith.is_prime(n), n
+
+    def test_the_top_of_the_word_goes_to_the_kernel(self, monkeypatch):
+        # 2**64 - 59 is the largest 64-bit prime; 2**63 + 1 is divisible by 3.
+        calls = []
+        kernel = arith.backend.is_prime_u64
+        recording = types.SimpleNamespace(is_prime_u64=lambda n: calls.append(n) or kernel(n))
+        monkeypatch.setattr(arith, "backend", recording)
+        assert arith.is_prime(2**64 - 59)
+        assert not arith.is_prime(2**63 + 1)
+        assert not arith.is_prime(2**64 + 1)  # 274177 * 67280421310721
+        assert calls == [2**64 - 59, 2**63 + 1]
 
     @settings(deadline=None, max_examples=300)
     @given(
@@ -130,7 +142,7 @@ class TestFactorize:
             arith.factorize(10**70 + 1, effort_digits=40)
 
     def test_rho_budget_above_the_kernel_bound(self, monkeypatch):
-        n = 4294967291 * 4294967279  # two primes below 2**32; n >= 2**63
+        n = 4294967311 * 4294967357  # two primes above 2**32; n >= 2**64
         assert n >= arith.KERNEL_BOUND
         monkeypatch.setattr(arith, "_BRENT_BUDGET", 100)
         with pytest.raises(FactorizationEffortError, match="rho budget exhausted"):

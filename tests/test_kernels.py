@@ -43,7 +43,7 @@ def test_both_backends_define_the_contract():
     # holds where the extension is not built; equality keeps kernels that
     # only tests call out of the compiled module.
     contract = backend_contract()
-    assert {"BACKEND_NAME", "is_prime_u64", "first_prime_in_ap", "subset_witness_mitm"} <= contract
+    assert {"BACKEND_NAME", "is_prime_u64", "first_prime_in_ap", "brent_factor"} <= contract
     source = (KERNELS_DIR / "_native.c").read_text()
     table = source.split("native_methods[] = {", 1)[1].split("};", 1)[0]
     compiled = set(re.findall(r'^\s*\{"(\w+)",', table, flags=re.MULTILINE))

@@ -109,8 +109,18 @@ class TestFind:
 
     def test_unknown_strategy_rejected_before_any_search(self):
         # The prefix pass alone would find (0, 1) here.
-        with pytest.raises(DomainError, match="unknown strategy 'bogus'"):
-            zerosum.find_product_one_subsequence([2, 3], 5, strategy="bogus")
+        for strategy in ("bogus", "exhaustive"):
+            with pytest.raises(DomainError, match=f"unknown strategy '{strategy}'"):
+                zerosum.find_product_one_subsequence([2, 3], 5, strategy=strategy)
+
+    def test_auto_meets_in_the_middle_without_the_exhaustive_walk(self, monkeypatch):
+        # 2 has order 61 mod 2**61 - 1, so no product of at most 24 copies
+        # of it is 1; a walk over all 2**24 subsets would take seconds.
+        def walk(*args):
+            raise AssertionError("auto ran the exhaustive walk")
+
+        monkeypatch.setattr(pure, "subset_witness_exhaustive", walk)
+        assert zerosum.find_product_one_subsequence([2] * 24, 2**61 - 1) is None
 
     def test_reach_walks_products_past_the_factoring_cap(self):
         # A 90-digit modulus cannot be factored under the 64-digit cap, and
@@ -133,11 +143,11 @@ class TestFind:
                 assert w.verify(elems, m)
 
     def test_budget_exhaustion_raises(self, monkeypatch):
-        # Orders of 2 mod 11 never divide subset sizes below 10, so there
-        # is no witness and the search must visit every node.
+        # 2 has order 10 mod 11, so there is no witness, and the table of
+        # the low half holds its four products 2, 4, 8 and 5.
         elems = [2] * 9
         assert zerosum.find_product_one_subsequence(elems, 11) is None
-        monkeypatch.setattr(zerosum, "_NODE_CAP", 10)
+        monkeypatch.setattr(zerosum, "_TABLE_CAP", 3)
         with pytest.raises(SearchExhaustedError):
             zerosum.find_product_one_subsequence(elems, 11)
 
@@ -157,18 +167,14 @@ class TestFind:
             m = rng.randrange(3, 10_000)
             elems = random_units(rng, m, rng.randrange(1, 21))
             reduced = [e % m for e in elems]
-            from carmik._kernels import pure
-
             if pure.prefix_run_witness(reduced, m) is None:
                 hard += 1
-            answers = {}
-            for strategy in ("exhaustive", "mitm", "reach"):
+            _, lex_first = pure.subset_witness_exhaustive(reduced, m, 0)
+            for strategy in ("auto", "mitm", "reach"):
                 w = zerosum.find_product_one_subsequence(elems, m, strategy=strategy)
-                answers[strategy] = w is not None
+                assert (w is not None) == (lex_first is not None), (m, elems, strategy)
                 if w is not None:
                     assert w.verify(elems, m)
-            assert answers["mitm"] == answers["exhaustive"]
-            assert answers["reach"] == answers["exhaustive"]
             checked += 1
         assert hard >= 50  # the prefix pass must not mask the comparison
 
