@@ -12,6 +12,7 @@ backend.  The census row counts are asserted against OEIS A055553.
 """
 
 import argparse
+import itertools
 import math
 import random
 import time
@@ -64,6 +65,10 @@ def workloads():
         while not pure.is_prime_u64(n):
             n += 2
         mr_primes.append(n)
+    # Every tenth g of the derived z=200 harvest: five window primes each,
+    # searched to its j_cap of 789.
+    window = tuple(pure.primes_in_range(100, 200))
+    harvest_g = sorted(math.prod(c) for c in itertools.combinations(window, 5))[::10]
     ap_caps = [int(l * math.log(l) ** 3) + 100 for l in range(2, 501)]
     band = range(1000, 1200)
     band_caps = [int(l * math.log(l) ** 3) + 100 for l in band]
@@ -74,6 +79,9 @@ def workloads():
     yield "miller-rabin x 20k", lambda b: [b.is_prime_u64(n) for n in mr_values]
     yield "miller-rabin x 20k, 2^34..2^52", lambda b: [b.is_prime_u64(n) for n in mr_harvest]
     yield "miller-rabin x 20k primes, 2^34..2^52", lambda b: [b.is_prime_u64(n) for n in mr_primes]
+    yield f"harvest_j x {len(harvest_g)} g, derived z=200", lambda b: [
+        b.harvest_j(g, window, 1, 789) for g in harvest_g
+    ]
     yield "ap scan l <= 500", lambda b: b.ap_max_scan(2, 500, ap_caps)
     # One call, so one table, per modulus, as in perfbench's ap_scan.
     yield "ap scan, one call per l = 1000..1199", lambda b: [

@@ -1,12 +1,12 @@
 /* Compiled kernel backend, written against the CPython C API.
 
-   Twin of pure.py for the four kernels the library reads as backend.<name>
-   (primality, the sieve, Brent rho and the first prime in a progression),
-   the backend contract; see that module for what each one returns.  Every
-   integer argument is an unsigned 64-bit word: a Python int outside
-   [0, 2**64) raises OverflowError.  Modular products are taken in 128 bits.
-   Miller-Rabin reads its base sets from pure._MR_TIERS when the module
-   loads, so both twins run from one table.
+   Twin of pure.py for the five kernels the library reads as backend.<name>
+   (primality, the sieve, Brent rho, the first prime in a progression and
+   the harvest's least j), the backend contract; see that module for what
+   each one returns.  Every integer argument is an unsigned 64-bit word: a
+   Python int outside [0, 2**64) raises OverflowError.  Modular products
+   are taken in 128 bits.  Miller-Rabin reads its base sets from
+   pure._MR_TIERS when the module loads, so both twins run from one table.
 
    Build in place with `python setup.py build_ext --inplace`. */
 
@@ -249,6 +249,31 @@ static PyObject *first_prime_in_ap(PyObject *self, PyObject *const *args, Py_ssi
     return Py_BuildValue("iK", 0, (unsigned long long)steps);
 }
 
+/* The least j in [start, cap] with gcd(j, g) == 1 and g*j + 1 prime, or 0.
+   The second argument, the primes pure.py proves each q from, is not
+   read: Miller-Rabin needs no factored part of q - 1. */
+static PyObject *harvest_j(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    u64 g, start, cap;
+    if (nargs != 4) {
+        PyErr_Format(PyExc_TypeError, "harvest_j() takes 4 arguments (%zd given)", nargs);
+        return NULL;
+    }
+    if (as_u64(args[0], &g) < 0 || as_u64(args[2], &start) < 0 || as_u64(args[3], &cap) < 0)
+        return NULL;
+    if ((u128)g * cap + 1 > UINT64_MAX) {
+        PyErr_SetString(PyExc_OverflowError, "g*cap + 1 >= 2**64");
+        return NULL;
+    }
+    for (u64 j = start; j <= cap; j++) {
+        if (cm_gcd(j, g) == 1 && is_prime(g * j + 1))
+            return PyLong_FromUnsignedLongLong(j);
+        if (j == cap)  /* cap may be the last word */
+            break;
+    }
+    return PyLong_FromLong(0);
+}
+
 /* ---- Brent rho ---------------------------------------------------------- */
 
 static inline u64 rho_step(u64 y, u64 c, u64 n)
@@ -310,6 +335,8 @@ static PyMethodDef native_methods[] = {
      "Ascending list of primes p with lo <= p <= hi (segmented sieve)."},
     {"first_prime_in_ap", (PyCFunction)(void (*)(void))first_prime_in_ap, METH_FASTCALL,
      "(p, steps): least prime p == residue (mod modulus) with p <= cap, or (0, steps)."},
+    {"harvest_j", (PyCFunction)(void (*)(void))harvest_j, METH_FASTCALL,
+     "Least j in [start, cap] with gcd(j, g) == 1 and g*j + 1 prime, or 0."},
     {"brent_factor", brent_factor, METH_O,
      "A nontrivial factor of odd composite n; the same path as the pure twin."},
     {NULL, NULL, 0, NULL},

@@ -14,9 +14,9 @@ backend.  The census descends over the primes of n, largest first;
 that it replaced, as its reference.
 
 Arguments fit in an unsigned 64-bit word, except where ``carmik.arith``
-hands this module larger operands: ``is_prime_u64`` with its own base set
-and ``_brent_round`` with a step budget, both of which are exact Python
-integer arithmetic at any size.
+hands this module larger operands: ``is_prime_u64`` and ``harvest_j`` with
+their own base set and ``_brent_round`` with a step budget, all of which
+are exact Python integer arithmetic at any size.
 
 The product-one subset walk lives here once, as ``_product_one_walk``:
 ``zerosum.enumerate_product_one_subsets`` runs it with a count cap, and
@@ -25,6 +25,7 @@ that the tests compare the library's searches against.
 """
 
 from bisect import bisect_right
+from functools import cache
 from math import gcd, isqrt, lcm, prod
 
 BACKEND_NAME = "pure"
@@ -93,6 +94,107 @@ def is_prime_u64(n, bases=None):
         else:
             return False
     return True
+
+
+# Bases the n - 1 proof of ``_prove_prime`` tries, in order.
+_PROOF_BASES = (2, 3, 5, 7, 11)
+
+
+def _prove_prime(n, factors):
+    """Whether odd n >= 3 is prime, from distinct primes of n - 1, or None.
+
+    ``factors`` are distinct primes dividing n - 1 whose product F has
+    F**3 > n.  For a base a, x = a**((n - 1)/F) mod n, and x**F == 1 is
+    the Fermat test, so a composite usually costs one power.  If also
+    gcd(x**(F/p) - 1, n) == 1 for each p in factors, Pocklington's theorem
+    puts every prime factor of n at 1 mod F.  Then n is prime when
+    F**2 > n, and otherwise, writing n = c2*F**2 + c1*F + 1 with
+    0 <= c1, c2 < F, exactly when c1**2 - 4*c2 is not a square
+    (Brillhart-Lehmer-Selfridge, Math. Comp. 1975; Crandall-Pomerance,
+    *Prime Numbers*, section 4.1).  A gcd equal to n settles nothing for
+    that base, so the next base of ``_PROOF_BASES`` is tried; None when
+    none settles it.
+    """
+    big_f = prod(factors)
+    r = (n - 1) // big_f
+    for a in _PROOF_BASES:
+        if a == n:
+            continue
+        x = pow(a, r, n)
+        if pow(x, big_f, n) != 1:
+            return False
+        for p in factors:
+            d = gcd(pow(x, big_f // p, n) - 1, n)
+            if d == n:
+                break
+            if d != 1:
+                return False
+        else:
+            if big_f * big_f > n:
+                return True
+            c2, c1 = divmod(r, big_f)
+            disc = c1 * c1 - 4 * c2
+            return disc < 0 or isqrt(disc) ** 2 != disc
+    return None
+
+
+# 2*3*5*7: harvest_j skips the j at which g*j + 1 shares a factor with it.
+_WHEEL = 210
+
+
+@cache
+def _wheel_offsets(r):
+    """The t in [0, 210) with gcd(r*t + 1, 210) == 1, ascending."""
+    return tuple(t for t in range(_WHEEL) if gcd(r * t + 1, _WHEEL) == 1)
+
+
+def harvest_j(g, primes, start, cap, bases=None):
+    """Least j in [start, cap] with gcd(j, g) == 1 and g*j + 1 prime, or 0.
+
+    ``primes`` are primes, ascending, among them those of g that the proof
+    uses; the library passes the window primes whole.  With the default
+    bases g*cap + 1 must lie below 2**64.  Whether g*j + 1 is prime to
+    2*3*5*7 depends only on g mod 210 and j mod 210, so the j that keep it
+    so are read from one wheel per residue; a g below 7 can make q itself
+    2, 3, 5 or 7, so it walks every j.  A q past that wheel and the gcd of
+    ``is_prime_u64`` is proved by ``_prove_prime`` from F, the product of
+    the largest primes of g, taken until F**3 > q.  Where they never get
+    there, or no base settles q, ``is_prime_u64(q, bases)`` decides it.
+    """
+    if bases is None and g * cap + 1 >= 2**64:
+        raise OverflowError(f"g*cap + 1 = {g * cap + 1} >= 2**64 needs explicit bases")
+    offsets = _wheel_offsets(g % _WHEEL) if g >= 7 else range(_WHEEL)
+    factors = []
+    big_f = 1
+    i = len(primes)
+    base = start - start % _WHEEL
+    while base <= cap:
+        for t in offsets:
+            j = base + t
+            if j > cap:
+                return 0
+            if j < start or gcd(j, g) != 1:
+                continue
+            q = g * j + 1
+            if q <= 211:
+                if q in _SMALL_PRIMES:
+                    return j
+                continue
+            if gcd(q, _SMALL_PRODUCT) != 1:
+                continue
+            # q grows with j, so F only grows.
+            while big_f * big_f * big_f <= q and i:
+                i -= 1
+                if g % primes[i] == 0:
+                    factors.append(primes[i])
+                    big_f *= primes[i]
+            verdict = _prove_prime(q, factors) if big_f * big_f * big_f > q else None
+            if verdict is None:
+                verdict = is_prime_u64(q, bases)
+            if verdict:
+                return j
+        base += _WHEEL
+    return 0
 
 
 def _sieve_bytes(limit):

@@ -15,6 +15,18 @@ primes), after the same gcd: a probable-prime method, but a reproducible
 one, and the range this package actually exercises is cross-checked
 exactly by the test suite.
 
+The harvest asks a different question of each g: the least j with
+gcd(j, g) = 1 and q = g*j + 1 prime.  ``harvest_j`` routes it by the same
+bound.  The compiled kernel walks j with its Miller-Rabin.  The pure one
+knows part of q - 1 factored, the primes of g, and proves q with the
+n - 1 test: Pocklington's criterion when their product F has F**2 > q,
+the Brillhart-Lehmer-Selfridge one when F**3 > q.  A candidate costs
+about one full-size modular power, prime or not, where Miller-Rabin
+spends three to five on a prime.  Where F stays too small, or no base
+settles q, it falls back to Miller-Rabin with the bases ``is_prime``
+uses at q's size.  So below the bound every answer is exact, and at or
+above it only a fallback is probable.
+
 Factorization is trial division over a cached small-prime list followed by
 Brent's cycle method, recursing on cofactors: the backend's ``brent_factor``
 below the bound, the pure kernel's ``_brent_round`` over offsets 1..63 at
@@ -114,6 +126,23 @@ def is_prime(n: int) -> bool:
     if n < KERNEL_BOUND:
         return backend.is_prime_u64(n)
     return pure.is_prime_u64(n, LARGE_BASES)
+
+
+def harvest_j(g: int, primes: tuple[int, ...], start: int, cap: int) -> int:
+    """Least j in [start, cap] with gcd(j, g) = 1 and g*j + 1 prime, or 0.
+
+    ``primes`` are ascending primes that hold those of g, such as the
+    window primes; the pure kernel proves each q = g*j + 1 from them.  Each
+    q is decided as ``is_prime`` decides it: by the backend's kernel below
+    ``KERNEL_BOUND``, by the pure kernel with ``LARGE_BASES`` at or above.
+    """
+    if g < 1:
+        raise DomainError("g must be >= 1")
+    top = (KERNEL_BOUND - 2) // g  # the last j with g*j + 1 < KERNEL_BOUND
+    j = backend.harvest_j(g, primes, start, min(cap, top))
+    if not j and cap > top:
+        j = pure.harvest_j(g, primes, max(start, top + 1), cap, LARGE_BASES)
+    return j
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:

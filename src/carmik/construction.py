@@ -180,44 +180,32 @@ def enumerate_g(j_product: arith.FactoredInteger, omega_g: int) -> list[int]:
     return sorted(math.prod(c) for c in combinations(j_product.primes, omega_g))
 
 
-# 2*3*5*7: populate_R skips the j at which g*j + 1 shares a factor with it.
-_WHEEL = 210
-
-
 def populate_R(
     j_product: arith.FactoredInteger, omega_g: int, j_cap: int
 ) -> RMap:
     """Bucket each q = g*j + 1 at g's smallest admissible j <= j_cap.
 
-    Admissible means gcd(j, g) = 1 and g*j + 1 prime.  Each g contributes at
-    most one q; a q already claimed by an earlier g is skipped so that every
-    prime appears in exactly one bucket (the decomposition of q - 1 is not
-    always unique, so first-come by ascending g canonicalizes it).
+    Admissible means gcd(j, g) = 1 and g*j + 1 prime; ``arith.harvest_j``
+    finds it, and the pure kernel proves each q from the window primes of
+    g that divide q - 1.  Each g contributes at most one q; a q already
+    claimed by an earlier g is skipped, by a second call from j + 1, so that
+    every prime appears in exactly one bucket (the decomposition of q - 1
+    is not always unique, so first-come by ascending g canonicalizes it).
     """
     if j_cap < 1:
         raise DomainError("j_cap must be >= 1")
     assignments: dict[int, list[tuple[int, int]]] = {}
     taken: set[int] = set()
     misses = []
-    every_j = list(range(1, j_cap + 1))  # the residue lists share its ints
-    # Whether g*j + 1 is prime to 2*3*5*7 depends only on g mod 210 and j,
-    # so the j that keep it so are listed once per residue.  A g below 7
-    # can make q itself 2, 3, 5 or 7, so it walks every j.
-    wheel: dict[int, list[int]] = {}
+    primes = j_product.primes
     for g in enumerate_g(j_product, omega_g):
-        js = every_j if g < 7 else wheel.get(g % _WHEEL)
-        if js is None:
-            r = g % _WHEEL
-            js = wheel[r] = [j for j in every_j if math.gcd(r * j + 1, _WHEEL) == 1]
-        for j in js:
-            if math.gcd(j, g) != 1:
-                continue
+        j = arith.harvest_j(g, primes, 1, j_cap)
+        while j and g * j + 1 in taken:
+            j = arith.harvest_j(g, primes, j + 1, j_cap)
+        if j:
             q = g * j + 1
-            if q in taken or not arith.is_prime(q):
-                continue
             assignments.setdefault(j, []).append((q, g))
             taken.add(q)
-            break
         else:
             misses.append(g)
     buckets = {

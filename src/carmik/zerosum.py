@@ -37,12 +37,15 @@ __all__ = [
     "enumerate_product_one_subsets",
 ]
 
-MITM_MAX = 48
-
 # Budgets of find_product_one_subsequence, read at call time: table entries
 # of meet-in-the-middle and reached products of the reachability walk.
 _TABLE_CAP = 4_194_304
 _STATE_CAP = 2_000_000
+
+# The most elements "auto" meets in the middle: the low half of n elements
+# has 2**(n // 2) - 1 nonempty subsets, and their table must fit the cap,
+# so 45 at 2**22; past that the reachability walk answers.
+MITM_MAX = 2 * ((_TABLE_CAP + 1).bit_length() - 1) + 1
 
 
 @dataclass(frozen=True)

@@ -82,6 +82,27 @@ class TestIsPrime:
         assert arith.is_prime(n) == sympy.isprime(n)
 
 
+class TestHarvestJ:
+    # Seven window primes of z = 600: g*j + 1 passes 2**64 from j = 2 on.
+    PRIMES = tuple(arith.primes_in_range(300, 600))
+    G = 521 * 523 * 541 * 547 * 557 * 563 * 571
+
+    def plain_walk(self, start, cap):
+        g = self.G
+        return next((j for j in range(start, cap + 1)
+                     if math.gcd(j, g) == 1 and arith.is_prime(g * j + 1)), 0)
+
+    def test_the_walk_crosses_the_kernel_bound(self):
+        assert (arith.KERNEL_BOUND - 2) // self.G == 1
+        for start, cap in ((1, 1), (1, 11), (1, 79), (13, 79), (31, 60), (2, 1)):
+            assert arith.harvest_j(self.G, self.PRIMES, start, cap) == self.plain_walk(start, cap)
+        assert arith.harvest_j(self.G, self.PRIMES, 1, 79) == 12
+
+    def test_g_must_be_positive(self):
+        with pytest.raises(DomainError):
+            arith.harvest_j(0, (), 1, 10)
+
+
 class TestPrimesInRange:
     def test_examples(self):
         assert arith.primes_in_range(10, 20) == [11, 13, 17, 19]

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carmik import arith, construction as cons
+from carmik._kernels import pure
 from carmik.errors import ConfigError, DomainError, InternalConsistencyError, SearchExhaustedError
 
 
@@ -194,7 +195,7 @@ def family_searches(draw):
 
 
 class TestCandidateSieves:
-    """populate_R's wheel and search_P's sieve and pruning change no result."""
+    """populate_R's harvest kernel and search_P's sieve and pruning change no result."""
 
     def test_small_windows_match_the_plain_walks(self):
         for z in range(4, 61):
@@ -208,6 +209,14 @@ class TestCandidateSieves:
                 for size, omega_d in ((1, 1), (2, 1), (2, 2)):
                     assert_families_match(rmap, nu, size, omega_d, 300)
 
+    def test_a_derived_window_matches_the_plain_walk(self):
+        # z = 150 at the derived omega_g = 5 and j_cap = 631: 2002 g, whose
+        # q the pure kernel proves from two or three window primes each.
+        cc = cons.ConstructionConfig(z=150, nu=2)
+        args = (cons.build_J(150), cc.resolved_omega_g, cc.resolved_j_cap)
+        assert args[1:] == (5, 631)
+        assert_rmap_equal(cons.populate_R(*args), reference_populate_R(*args))
+
     @pytest.mark.parametrize("z, nu, size, omega_d", BENCHMARK_VARIANTS)
     def test_benchmark_variants_match_the_plain_walks(self, z, nu, size, omega_d):
         j_product = cons.build_J(z)
@@ -216,15 +225,22 @@ class TestCandidateSieves:
         assert_families_match(rmap, nu, size, omega_d, 4000)
 
     def test_no_candidate_with_a_small_factor_is_tested(self, monkeypatch):
+        # The pure harvest kernel proves, or hands to Miller-Rabin, only a q
+        # that its wheel and its gcd leave: q prime to every prime <= 211.
+        proved = []
+        for name in ("_prove_prime", "is_prime_u64"):
+            test = getattr(pure, name)
+            monkeypatch.setattr(pure, name, lambda n, *a, test=test: proved.append(n) or test(n, *a))
+        j_product = cons.build_J(60)
+        for g in cons.enumerate_g(j_product, 1):
+            pure.harvest_j(g, j_product.primes, 1, 40)
+        assert proved and all(math.gcd(q, pure._SMALL_PRODUCT) == 1 for q in proved)
+        # A g below 7 walks every j: g = 2 and 3 reach q = 3 and 7.
+        assert (pure.harvest_j(2, (2, 3), 1, 10), pure.harvest_j(3, (2, 3), 1, 10)) == (1, 2)
+        monkeypatch.undo()
         tested = []
         is_prime = arith.is_prime
         monkeypatch.setattr(arith, "is_prime", lambda n, **kw: tested.append(n) or is_prime(n, **kw))
-        cons.populate_R(cons.build_J(60), 1, 40)
-        assert tested and all(math.gcd(q, 210) == 1 for q in tested)
-        tested.clear()
-        cons.populate_R(cons.build_J(4), 1, 10)  # g = 2, 3 reach q = 3 and 7
-        assert 3 in tested and 7 in tested
-        tested.clear()
         sieve_primes = math.prod(arith.primes_in_range(2, cons._SIEVE_BOUND))
         cons.search_P(factored(149, 173), factored(269, 293), 2, 1, 500, 1)
         assert tested and all(math.gcd(p, sieve_primes) == 1 for p in tested)

@@ -7,6 +7,7 @@ copy to run that comparison wherever a C compiler is found.
 """
 
 import functools
+import itertools
 import math
 import os
 import re
@@ -43,7 +44,8 @@ def test_both_backends_define_the_contract():
     # holds where the extension is not built; equality keeps kernels that
     # only tests call out of the compiled module.
     contract = backend_contract()
-    assert {"BACKEND_NAME", "is_prime_u64", "first_prime_in_ap", "brent_factor"} <= contract
+    named = {"BACKEND_NAME", "is_prime_u64", "first_prime_in_ap", "brent_factor", "harvest_j"}
+    assert named <= contract
     source = (KERNELS_DIR / "_native.c").read_text()
     table = source.split("native_methods[] = {", 1)[1].split("};", 1)[0]
     compiled = set(re.findall(r'^\s*\{"(\w+)",', table, flags=re.MULTILINE))
@@ -178,6 +180,60 @@ def test_tiered_bases_agree_with_twelve_and_sympy(n):
     expected = sympy.isprime(n)
     assert pure.is_prime_u64(n) == expected
     assert pure.is_prime_u64(n, TWELVE_PRIMES) == expected
+
+
+def proof_sets(n):
+    """(factors, F) for every set of distinct primes of n - 1 with F**3 > n."""
+    primes = sympy.primefactors(n - 1)
+    for size in range(1, len(primes) + 1):
+        for factors in itertools.combinations(primes, size):
+            if math.prod(factors) ** 3 > n:
+                yield factors, math.prod(factors)
+
+
+def test_n_minus_1_proof_against_a_sieve():
+    # Every odd n < 3*10**4 and every factor set it may be handed: the
+    # proof is right or settles nothing, and both of its criteria prove
+    # primes, Pocklington's (F**2 > n) and the discriminant (F**2 <= n).
+    # Of the 78 496 pairs, 13 657 and 4800 primes are proved by each and
+    # 898 pairs are left to Miller-Rabin.
+    limit = 30_000
+    flags = pure._sieve_bytes(limit)
+    by_pocklington = by_discriminant = 0
+    for n in range(3, limit, 2):
+        for factors, big_f in proof_sets(n):
+            verdict = pure._prove_prime(n, factors)
+            if verdict is None:
+                continue
+            assert verdict == bool(flags[n]), (n, factors)
+            if verdict and big_f * big_f > n:
+                by_pocklington += 1
+            elif verdict:
+                by_discriminant += 1
+    assert by_pocklington and by_discriminant
+
+
+@pytest.mark.parametrize("n", [2047, 3277, 4033, 4681, 8321, 561, 1105, 1729, 13747])
+def test_n_minus_1_proof_rejects_pseudoprimes(n):
+    # Base-2 strong pseudoprimes, Carmichael numbers, and 13747 = 59 * 233,
+    # whose base-2 Pocklington conditions hold for F = 29, so that only the
+    # discriminant rejects it.  1729 - 1 = 2**6 * 3**3 has no set with
+    # F**3 > 1729, so harvest_j falls back to Miller-Rabin there.
+    assert not sympy.isprime(n)
+    sets = list(proof_sets(n))
+    assert all(pure._prove_prime(n, factors) is False for factors, _ in sets)
+    assert (n == 1729) == (sets == [])
+    assert pure.harvest_j(n - 1, tuple(sympy.primefactors(n - 1)), 1, 1) == 0
+
+
+def test_discriminant_alone_rejects_13747():
+    # The premise of 13747's case above: base 2 passes Fermat and the gcd
+    # for F = 29, and c1**2 - 4*c2 is the square (8 - 2)**2.
+    n, big_f = 13747, 29
+    x = pow(2, (n - 1) // big_f, n)
+    assert pow(x, big_f, n) == 1 and math.gcd(x - 1, n) == 1
+    c2, c1 = divmod((n - 1) // big_f, big_f)
+    assert (c1 * c1 - 4 * c2, (59 - 1) // big_f, (233 - 1) // big_f) == (36, 2, 8)
 
 
 def reference_ap_max_scan(l_lo, l_hi, caps):

@@ -9,6 +9,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from test_kernels import backend_contract
 
 from carmik._kernels import pure
@@ -64,6 +66,41 @@ def test_first_prime_in_ap_parity():
             cases.append((l, b, l * 50 + 100))
     for l, b, cap in cases:
         assert native.first_prime_in_ap(l, b, cap) == pure.first_prime_in_ap(l, b, cap)
+
+
+@st.composite
+def harvest_calls(draw):
+    """harvest_j arguments: g over the primes of a window [z/2, z], passed
+    whole, from the first j, past cap < start, and up to 2**64."""
+    z = draw(st.integers(4, 700))
+    primes = tuple(pure.primes_in_range((z + 1) // 2, z))
+    factors = draw(st.lists(st.sampled_from(primes), min_size=1, max_size=6, unique=True))
+    g = math.prod(factors)
+    top = (2**64 - 2) // g  # the last j with g*j + 1 < 2**64
+    if draw(st.booleans()):
+        cap = top - draw(st.integers(0, 50))
+        start = cap - draw(st.integers(-5, 300))
+    else:
+        start = draw(st.integers(1, 300))
+        cap = max(0, min(top, start + draw(st.integers(-5, 800))))
+    return g, primes, start, cap
+
+
+@settings(deadline=None, max_examples=300)
+@given(harvest_calls())
+@example((3, (3,), 1, 10))  # q = 7 at j = 2
+@example((2, (2, 3), 1, 10))  # q = 3 at j = 1
+@example((101 * 103 * 107 * 109 * 113, (101, 103, 107, 109, 113), 5, 4))  # cap < start
+@example((2, (2,), 2**63 - 200, 2**63 - 1))  # q up to 2**64 - 1
+def test_harvest_j_parity(args):
+    assert native.harvest_j(*args) == pure.harvest_j(*args), args
+
+
+def test_harvest_j_refuses_a_cap_past_the_word():
+    for g, cap in ((2, 2**63), (2**63, 2), (1, 2**64 - 1)):
+        for twin in (native, pure):
+            with pytest.raises(OverflowError):
+                twin.harvest_j(g, (), 1, cap)
 
 
 def test_brent_parity():

@@ -151,6 +151,20 @@ class TestFind:
         with pytest.raises(SearchExhaustedError):
             zerosum.find_product_one_subsequence(elems, 11)
 
+    def test_auto_meets_in_the_middle_only_where_the_table_fits(self):
+        half = zerosum.MITM_MAX // 2
+        assert 2**half - 1 <= zerosum._TABLE_CAP < 2 ** ((zerosum.MITM_MAX + 1) // 2) - 1
+
+    def test_auto_past_mitm_max_answers_by_reach(self, monkeypatch):
+        # 2 has order 52 mod 53: no subset of 46 twos has product 1, and the
+        # prefix pass cannot say so, so the search past it must.
+        def refuse(*args):
+            raise AssertionError("meet-in-the-middle called")
+
+        monkeypatch.setattr(pure, "subset_witness_mitm", refuse)
+        assert zerosum.MITM_MAX == 45
+        assert zerosum.find_product_one_subsequence([2] * 46, 53) is None
+
     @pytest.mark.parametrize("strategy, cap", [("mitm", "_TABLE_CAP"), ("reach", "_STATE_CAP")])
     def test_each_strategy_reads_its_budget_at_call_time(self, monkeypatch, strategy, cap):
         elems = [2] * 9
