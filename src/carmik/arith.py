@@ -139,7 +139,8 @@ def harvest_j(g: int, primes: tuple[int, ...], start: int, cap: int) -> int:
     if g < 1:
         raise DomainError("g must be >= 1")
     top = (KERNEL_BOUND - 2) // g  # the last j with g*j + 1 < KERNEL_BOUND
-    j = backend.harvest_j(g, primes, start, min(cap, top))
+    # The kernel takes words only: a g past the word leaves it no j (top = 0).
+    j = backend.harvest_j(g, primes, start, min(cap, top)) if start <= top else 0
     if not j and cap > top:
         j = pure.harvest_j(g, primes, max(start, top + 1), cap, LARGE_BASES)
     return j

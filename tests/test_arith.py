@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from carmik import arith
+from carmik._kernels import pure
 from carmik.errors import DomainError, EmptyRangeError, FactorizationEffortError
 
 
@@ -97,6 +98,24 @@ class TestHarvestJ:
         for start, cap in ((1, 1), (1, 11), (1, 79), (13, 79), (31, 60), (2, 1)):
             assert arith.harvest_j(self.G, self.PRIMES, start, cap) == self.plain_walk(start, cap)
         assert arith.harvest_j(self.G, self.PRIMES, 1, 79) == 12
+
+    def test_a_g_past_the_word_never_reaches_the_kernel(self, monkeypatch):
+        # Eight window primes of z = 400, g ~ 2.2e20: every q passes 2**64.
+        # The stand-in kernel refuses a non-word, as the compiled one does.
+        primes = tuple(arith.primes_in_range(200, 400))
+        g = math.prod(primes[-8:])
+        assert g >= arith.KERNEL_BOUND
+
+        def word_kernel(g, primes, start, cap):
+            if not all(0 <= v < arith.KERNEL_BOUND for v in (g, start, cap)):
+                raise OverflowError("a kernel argument passes the word")
+            return pure.harvest_j(g, primes, start, cap)
+
+        monkeypatch.setattr(arith, "backend", types.SimpleNamespace(harvest_j=word_kernel))
+        want = next(j for j in range(1, 100) if math.gcd(j, g) == 1 and arith.is_prime(g * j + 1))
+        assert arith.harvest_j(g, primes, 1, 100) == want
+        assert arith.harvest_j(g, primes, want + 1, want) == 0
+        assert arith.harvest_j(self.G, self.PRIMES, 2, 79) == self.plain_walk(2, 79)
 
     def test_g_must_be_positive(self):
         with pytest.raises(DomainError):

@@ -217,6 +217,15 @@ class TestCandidateSieves:
         assert args[1:] == (5, 631)
         assert_rmap_equal(cons.populate_R(*args), reference_populate_R(*args))
 
+    def test_a_g_past_the_word_matches_the_plain_walk(self):
+        # omega_g = 8 over the top nine window primes of z = 400: each g is
+        # about 2e20, so every q lies past the kernel's word.
+        j_product = factored(*arith.primes_in_range(200, 400)[-9:])
+        assert min(cons.enumerate_g(j_product, 8)) >= arith.KERNEL_BOUND
+        rmap = cons.populate_R(j_product, 8, 60)
+        assert rmap.buckets
+        assert_rmap_equal(rmap, reference_populate_R(j_product, 8, 60))
+
     @pytest.mark.parametrize("z, nu, size, omega_d", BENCHMARK_VARIANTS)
     def test_benchmark_variants_match_the_plain_walks(self, z, nu, size, omega_d):
         j_product = cons.build_J(z)

@@ -11,8 +11,10 @@ import random
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_construction import assert_rmap_equal, reference_populate_R
 from test_kernels import backend_contract
 
+from carmik import arith, construction as cons
 from carmik._kernels import pure
 
 native = pytest.importorskip("carmik._kernels._native")
@@ -94,6 +96,25 @@ def harvest_calls(draw):
 @example((2, (2,), 2**63 - 200, 2**63 - 1))  # q up to 2**64 - 1
 def test_harvest_j_parity(args):
     assert native.harvest_j(*args) == pure.harvest_j(*args), args
+
+
+def test_the_harvest_crosses_the_word_on_the_compiled_backend(monkeypatch):
+    # arith.harvest_j and populate_R hand the compiled kernel only words:
+    # g just below 2**64, whose walk crosses it, and g past it.
+    window = tuple(pure.primes_in_range(200, 400))
+    below = 521 * 523 * 541 * 547 * 557 * 563 * 571
+    past = math.prod(window[-8:])
+    cases = [(below, tuple(pure.primes_in_range(300, 600)), start, cap)
+             for start, cap in ((1, 1), (1, 79), (13, 79), (2, 1))]
+    cases += [(past, window, start, cap) for start, cap in ((1, 60), (5, 60), (2, 1))]
+    monkeypatch.setattr(arith, "backend", pure)
+    want = [arith.harvest_j(*args) for args in cases]
+    j_product = arith.FactoredInteger.from_factor_map({p: 1 for p in window[-9:]})
+    rmap = reference_populate_R(j_product, 8, 60)
+    monkeypatch.setattr(arith, "backend", native)
+    assert [arith.harvest_j(*args) for args in cases] == want
+    assert rmap.buckets
+    assert_rmap_equal(cons.populate_R(j_product, 8, 60), rmap)
 
 
 def test_harvest_j_refuses_a_cap_past_the_word():
