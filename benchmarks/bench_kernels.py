@@ -1,14 +1,13 @@
-"""Timing comparison: compiled kernels vs the pure-Python fallback.
+"""Wall time of the kernels on fixed workloads.
 
 Usage:  python3 benchmarks/bench_kernels.py [--repeat N]
 
-The compiled side is the extension built from the hand-written
-``_native.c`` (``python setup.py build_ext --inplace``); without it only
-the pure side is timed.  Each workload of a contract kernel runs on both
-backends (results are asserted identical) and the table reports wall time
-per backend plus the speedup.  The census, AP-scan and subset-search rows
-time the pure kernels only, since the library runs those on either
-backend.  The census row counts are asserted against OEIS A055553.
+Each row times one workload of a kernel in ``carmik._kernels.pure``, best
+of N runs, and checks its value against an answer found another way: the
+census counts against OEIS A055553, the prime counts against
+``sympy.isprime`` (found once and written here), and every other row
+against a plain recomputation, untimed.  The semiprime row runs through
+``arith.factorize``, the library's one Brent driver.
 """
 
 import argparse
@@ -17,21 +16,11 @@ import math
 import random
 import time
 
+from carmik import arith
 from carmik._kernels import pure
 
-try:
-    from carmik._kernels import _native as native
-except ImportError:
-    native = None
-
-
 # Carmichael numbers up to 10^7 .. 10^10 (OEIS A055553).
-CENSUS_ROWS = {"census to 1e7": 105, "census to 1e8": 255, "census to 1e9": 646,
-               "census to 1e10": 1547}
-
-# Kernels with no compiled twin: these rows are timed on pure only.
-PURE_ONLY = {*CENSUS_ROWS, "ap scan l <= 500", "ap scan, one call per l = 1000..1199",
-             "subset mitm x 200 (mod 105)"}
+CENSUS_ROWS = {7: 105, 8: 255, 9: 646, 10: 1547}
 
 
 def timed(fn, repeat):
@@ -44,14 +33,31 @@ def timed(fn, repeat):
     return value, best
 
 
+def count_is(expected):
+    """A check that exactly ``expected`` of the values are true (nonempty)."""
+
+    def check(values):
+        assert sum(map(bool, values)) == expected, (sum(map(bool, values)), expected)
+
+    return check
+
+
+def check_scan(result):
+    per_l, misses = result
+    assert misses == []
+    for l, b, p in per_l:
+        assert p % l == b and pure.is_prime_u64(p), (l, b, p)
+
+
 def workloads():
+    """(name, timed call, value check) for each row."""
     rng = random.Random(7)
-    semiprimes = []
-    while len(semiprimes) < 20:
+    pairs = []
+    while len(pairs) < 20:
         p = rng.randrange(2**25 | 1, 2**26, 2)
         q = rng.randrange(2**25 | 1, 2**26, 2)
         if pure.is_prime_u64(p) and pure.is_prime_u64(q):
-            semiprimes.append(p * q)
+            pairs.append((p, q))
     units105 = [a for a in range(1, 105) if math.gcd(a, 105) == 1]
     stress = [[rng.choice(units105) for _ in range(29)] for _ in range(200)]
     mr_values = [rng.randrange(2**62) for _ in range(20_000)]
@@ -73,48 +79,57 @@ def workloads():
     band = range(1000, 1200)
     band_caps = [int(l * math.log(l) ** 3) + 100 for l in band]
 
-    for e in range(7, 11):
-        yield f"census to 1e{e}", lambda b, limit=10**e: b.carmichael_census(limit)
-    yield "sieve [1e12, 1e12+1e6]", lambda b: b.primes_in_range(10**12, 10**12 + 10**6)
-    yield "miller-rabin x 20k", lambda b: [b.is_prime_u64(n) for n in mr_values]
-    yield "miller-rabin x 20k, 2^34..2^52", lambda b: [b.is_prime_u64(n) for n in mr_harvest]
-    yield "miller-rabin x 20k primes, 2^34..2^52", lambda b: [b.is_prime_u64(n) for n in mr_primes]
-    yield f"harvest_j x {len(harvest_g)} g, derived z=200", lambda b: [
-        b.harvest_j(g, window, 1, 789) for g in harvest_g
-    ]
-    yield "ap scan l <= 500", lambda b: b.ap_max_scan(2, 500, ap_caps)
+    def check_harvest(js):
+        # Each j is the least one, by Miller-Rabin on every j below it.
+        for g, j in zip(harvest_g, js):
+            assert j == next((i for i in range(1, 790)
+                              if math.gcd(i, g) == 1 and pure.is_prime_u64(g * i + 1)), 0), g
+
+    def check_factors(results):
+        assert [fi.factors for fi in results] == [
+            ((min(p, q), 1), (max(p, q), 1)) for p, q in pairs
+        ]
+
+    def check_witnesses(results):
+        for elements, (status, witness) in zip(stress, results):
+            assert status == pure.FOUND
+            assert math.prod(elements[i] for i in witness) % 105 == 1
+
+    for e, rows in CENSUS_ROWS.items():
+        yield (f"census to 1e{e}", lambda limit=10**e: pure.carmichael_census(limit),
+               count_is(rows))
+    yield ("sieve [1e12, 1e12+1e6]", lambda: pure.primes_in_range(10**12, 10**12 + 10**6),
+           count_is(36_249))
+    yield ("miller-rabin x 20k", lambda: [pure.is_prime_u64(n) for n in mr_values],
+           count_is(451))
+    yield ("miller-rabin x 20k, 2^34..2^52", lambda: [pure.is_prime_u64(n) for n in mr_harvest],
+           count_is(588))
+    yield ("miller-rabin x 20k primes, 2^34..2^52",
+           lambda: [pure.is_prime_u64(n) for n in mr_primes], count_is(20_000))
+    yield (f"harvest_j x {len(harvest_g)} g, derived z=200",
+           lambda: [pure.harvest_j(g, window, 1, 789) for g in harvest_g], check_harvest)
+    yield "ap scan l <= 500", lambda: pure.ap_max_scan(2, 500, ap_caps), check_scan
     # One call, so one table, per modulus, as in perfbench's ap_scan.
-    yield "ap scan, one call per l = 1000..1199", lambda b: [
-        b.ap_max_scan(l, l, [cap]) for l, cap in zip(band, band_caps)
-    ]
-    yield "brent x 20 semiprimes", lambda b: [b.brent_factor(n) for n in semiprimes]
-    yield "subset mitm x 200 (mod 105)", lambda b: [
-        b.subset_witness_mitm(e, 105, 0) for e in stress
-    ]
+    yield ("ap scan, one call per l = 1000..1199",
+           lambda: [pure.ap_max_scan(l, l, [cap]) for l, cap in zip(band, band_caps)],
+           lambda results: [check_scan(r) for r in results])
+    yield ("factorize x 20 semiprimes", lambda: [arith.factorize(p * q) for p, q in pairs],
+           check_factors)
+    yield ("subset mitm x 200 (mod 105)",
+           lambda: [pure.subset_witness_mitm(e, 105, 0) for e in stress], check_witnesses)
 
 
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--repeat", type=int, default=3)
     args = parser.parse_args()
-    if native is None:
-        print("compiled backend unavailable; timing the pure backend only")
-    header = f"{'workload':<38} {'pure':>10} {'native':>10} {'speedup':>9}"
+    header = f"{'workload':<38} {'seconds':>10}"
     print(header)
     print("-" * len(header))
-    for name, fn in workloads():
-        pure_value, pure_time = timed(lambda: fn(pure), args.repeat)
-        if name in CENSUS_ROWS:
-            assert len(pure_value) == CENSUS_ROWS[name], name
-        if native is None or name in PURE_ONLY:
-            print(f"{name:<38} {pure_time:>9.3f}s {'-':>10} {'-':>9}")
-            continue
-        native_value, native_time = timed(lambda: fn(native), args.repeat)
-        assert pure_value == native_value, f"backend mismatch in {name}"
-        print(
-            f"{name:<38} {pure_time:>9.3f}s {native_time:>9.3f}s "
-            f"{pure_time / native_time:>8.1f}x"
-        )
+    for name, fn, check in workloads():
+        value, seconds = timed(fn, args.repeat)
+        check(value)
+        print(f"{name:<38} {seconds:>9.3f}s")
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ and drives the two-family construction pipeline that targets K equal to a
 prescribed even value.
 """
 
+# backend_name stays public: perfbench/worker.py records it with each run.
 from ._kernels import backend_name
 from .arith import (
     FactoredInteger,

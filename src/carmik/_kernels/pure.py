@@ -1,17 +1,11 @@
-"""Pure-Python kernel backend.
+"""The kernels of the library, in pure Python.
 
-Twin of the compiled backend in ``_native.c`` for every kernel the
-library reads as ``backend.<name>``, the backend contract.  Everything here
-is exact integer arithmetic and deterministic; the two backends must
-return identical values for identical arguments, which
-``tests/test_native_parity.py`` enforces.  ``_MR_TIERS`` is the one table
-of Miller-Rabin base sets: the compiled module reads it when it loads.
-``ap_max_scan``, ``carmichael_census`` and the subset-product searches
-(``prefix_run_witness``, ``subset_witness_mitm``, ``_product_one_walk``)
-have no compiled twin; the library calls them from here on either
-backend.  The census descends over the primes of n, largest first;
-``tests/brute_force.py`` keeps the linear walk over n == P (mod P(P - 1))
-that it replaced, as its reference.
+Every hot loop lives here once, and the library calls it by name.
+Everything here is exact integer arithmetic and deterministic.
+``_MR_TIERS`` is the one table of Miller-Rabin base sets.  The census
+descends over the primes of n, largest first; ``tests/brute_force.py``
+keeps the linear walk over n == P (mod P(P - 1)) that it replaced, as its
+reference.
 
 Arguments fit in an unsigned 64-bit word, except where ``carmik.arith``
 hands this module larger operands: ``is_prime_u64`` and ``harvest_j`` with
@@ -27,8 +21,6 @@ that the tests compare the library's searches against.
 from bisect import bisect_right
 from functools import cache
 from math import gcd, isqrt, lcm, prod
-
-BACKEND_NAME = "pure"
 
 # Minimal Miller-Rabin base sets, as published at miller-rabin.appspot.com
 # and used by the "Step 2" tiers of sympy's isprime.  Each entry is
@@ -426,27 +418,12 @@ def _unit_bytes(l):
     return units
 
 
-def brent_factor(n):
-    """A nontrivial factor of odd composite n (Brent's cycle method).
-
-    Deterministic: polynomial offsets c = 1, 2, 3, ... are tried in order
-    from the fixed start y = 2, so both backends split identically.
-    """
-    if n % 2 == 0:
-        return 2
-    c = 1
-    while True:
-        f = _brent_round(n, c)
-        if f != 0 and f != n:
-            return f
-        c += 1
-
-
-def _brent_round(n, c, budget=0):
+def _brent_round(n, c, budget):
     """One cycle search with offset c: a factor of n, or 0 if it closed on n.
 
-    With budget > 0 it returns None once the steps of its doublings sum past
-    budget, checked after each doubling, even one that found a factor.
+    Brent's cycle method on y -> y*y + c from the fixed start y = 2.  It
+    returns None once the steps of its doublings sum past budget, checked
+    after each doubling, even one that found a factor.
     """
     y, r, q = 2, 1, 1
     g = 1
@@ -466,7 +443,7 @@ def _brent_round(n, c, budget=0):
             g = gcd(q, n)
             k += m
         steps += r
-        if budget and steps > budget:
+        if steps > budget:
             return None
         r *= 2
     if g == n:
@@ -535,6 +512,9 @@ def _product_one_walk(elements, modulus, count_cap, node_cap):
             prods.pop()
 
 
+# The library never calls this one: the tests compare its searches against
+# it, and perfbench/tracing.py wraps it by name, so a traced benchmark run
+# needs it defined here.
 def subset_witness_exhaustive(elements, modulus, node_cap):
     """Depth-first search, indices ascending, for a subset with product 1.
 

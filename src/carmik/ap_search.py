@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._kernels import backend, pure
+from ._kernels import pure
 from .errors import DomainError, InvalidClassError, SearchExhaustedError
 
 __all__ = [
@@ -84,7 +84,7 @@ def first_prime_in_ap(
     if cap is None:
         cap = default_cap(modulus)
     query = ApQuery(modulus=modulus, residue=residue, cap=cap)
-    p, steps = backend.first_prime_in_ap(modulus, residue, cap)
+    p, steps = pure.first_prime_in_ap(modulus, residue, cap)
     if p == 0:
         raise SearchExhaustedError(
             f"no prime == {residue} (mod {modulus}) up to {cap}",
@@ -136,9 +136,9 @@ def heath_brown_scan(
 
     Every residue class b coprime to l is searched up to ``cap`` (default:
     default_cap(l) per modulus).  An empty range yields an empty table.
-    The scan is ``pure.ap_max_scan`` on either backend: it reads a sieve
-    table in rows of width l, and one integer AND per row settles every
-    class whose term in that row is prime, so no term is tested alone.
+    The scan is ``pure.ap_max_scan``: it reads a sieve table in rows of
+    width l, and one integer AND per row settles every class whose term in
+    that row is prime, so no term is tested alone.
     """
     if l_min < 2:
         raise DomainError("moduli start at 2")

@@ -3,36 +3,34 @@
 Primality policy
 ----------------
 Below ``KERNEL_BOUND`` (2**64) primality is decided exactly by the kernel
-backend's ``is_prime_u64``.  The pure kernel rejects n with one gcd against
-the primes up to 211, then runs Miller-Rabin with the smallest published
-base set that is exact at n's size (miller-rabin.appspot.com: one base
-below 341531, three to six below 585226005592931977, seven below 2**64);
-the compiled kernel trial-divides by the same primes and reads the same
-base sets.  Both are exact on the whole 64-bit word, which is the bound,
-so they give the same answer.  At or above it, ``is_prime`` runs the pure
-kernel with the fixed, documented base set ``LARGE_BASES`` (the first 25
-primes), after the same gcd: a probable-prime method, but a reproducible
-one, and the range this package actually exercises is cross-checked
-exactly by the test suite.
+``pure.is_prime_u64``.  It rejects n with one gcd against the primes up to
+211, then runs Miller-Rabin with the smallest published base set that is
+exact at n's size (miller-rabin.appspot.com: one base below 341531, three
+to six below 585226005592931977, seven below 2**64).  At or above the
+bound, ``is_prime`` runs the same kernel with the fixed, documented base
+set ``LARGE_BASES`` (the first 25 primes), after the same gcd: a
+probable-prime method, but a reproducible one, and the range this package
+actually exercises is cross-checked exactly by the test suite.  The split
+is the policy, set where the exact base sets end; the kernels themselves
+are exact Python integer arithmetic at every size.
 
 The harvest asks a different question of each g: the least j with
-gcd(j, g) = 1 and q = g*j + 1 prime.  ``harvest_j`` routes it by the same
-bound.  The compiled kernel walks j with its Miller-Rabin.  The pure one
-knows part of q - 1 factored, the primes of g, and proves q with the
-n - 1 test: Pocklington's criterion when their product F has F**2 > q,
-the Brillhart-Lehmer-Selfridge one when F**3 > q.  A candidate costs
-about one full-size modular power, prime or not, where Miller-Rabin
+gcd(j, g) = 1 and q = g*j + 1 prime.  ``harvest_j`` splits its walk at the
+same bound and runs the kernel ``pure.harvest_j`` on each part.  The
+kernel knows part of q - 1 factored, the primes of g, and proves q with
+the n - 1 test: Pocklington's criterion when their product F has
+F**2 > q, the Brillhart-Lehmer-Selfridge one when F**3 > q.  A candidate
+costs about one full-size modular power, prime or not, where Miller-Rabin
 spends three to five on a prime.  Where F stays too small, or no base
-settles q, it falls back to Miller-Rabin with the bases ``is_prime``
-uses at q's size.  So below the bound every answer is exact, and at or
-above it only a fallback is probable.
+settles q, it falls back to Miller-Rabin with the bases ``is_prime`` uses
+at q's size.  So below the bound every answer is exact, and at or above
+it only a fallback is probable.
 
 Factorization is trial division over a cached small-prime list followed by
-Brent's cycle method, recursing on cofactors: the backend's ``brent_factor``
-below the bound, the pure kernel's ``_brent_round`` over offsets 1..63 at
-or above it.  Work is bounded by a digit cap and a per-offset step budget;
-exceeding either raises ``FactorizationEffortError`` rather than ever
-returning a wrong answer.
+Brent's cycle method, recursing on cofactors: the kernel ``_brent_round``
+over offsets 1..63, at every size.  Work is bounded by a digit cap and a
+per-offset step budget; exceeding either raises
+``FactorizationEffortError`` rather than ever returning a wrong answer.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from ._kernels import backend, pure
+from ._kernels import pure
 from .errors import DomainError, EmptyRangeError, FactorizationEffortError
 
 KERNEL_BOUND = 2**64
@@ -55,7 +53,7 @@ LARGE_BASES = (
 #: Default digit cap for factorization effort.
 DEFAULT_FACTOR_DIGITS = 64
 
-#: Brent step budget per polynomial offset for operands >= KERNEL_BOUND.
+#: Brent step budget per polynomial offset.
 _BRENT_BUDGET = 2_000_000
 
 _TRIAL_LIMIT = 20_000
@@ -65,7 +63,7 @@ _trial_primes: list[int] | None = None
 def _small_primes() -> list[int]:
     global _trial_primes
     if _trial_primes is None:
-        _trial_primes = backend.primes_in_range(2, _TRIAL_LIMIT)
+        _trial_primes = pure.primes_in_range(2, _TRIAL_LIMIT)
     return _trial_primes
 
 
@@ -124,7 +122,7 @@ def is_prime(n: int) -> bool:
     if n < 2:
         return False
     if n < KERNEL_BOUND:
-        return backend.is_prime_u64(n)
+        return pure.is_prime_u64(n)
     return pure.is_prime_u64(n, LARGE_BASES)
 
 
@@ -132,15 +130,16 @@ def harvest_j(g: int, primes: tuple[int, ...], start: int, cap: int) -> int:
     """Least j in [start, cap] with gcd(j, g) = 1 and g*j + 1 prime, or 0.
 
     ``primes`` are ascending primes that hold those of g, such as the
-    window primes; the pure kernel proves each q = g*j + 1 from them.  Each
-    q is decided as ``is_prime`` decides it: by the backend's kernel below
-    ``KERNEL_BOUND``, by the pure kernel with ``LARGE_BASES`` at or above.
+    window primes; the kernel proves each q = g*j + 1 from them.  Where no
+    proof settles q, it is decided as ``is_prime`` decides it: with the
+    exact default bases below ``KERNEL_BOUND``, with ``LARGE_BASES`` at or
+    above.
     """
     if g < 1:
         raise DomainError("g must be >= 1")
     top = (KERNEL_BOUND - 2) // g  # the last j with g*j + 1 < KERNEL_BOUND
-    # The kernel takes words only: a g past the word leaves it no j (top = 0).
-    j = backend.harvest_j(g, primes, start, min(cap, top)) if start <= top else 0
+    # A g past the word has no j below the bound (top = 0).
+    j = pure.harvest_j(g, primes, start, min(cap, top)) if start <= top else 0
     if not j and cap > top:
         j = pure.harvest_j(g, primes, max(start, top + 1), cap, LARGE_BASES)
     return j
@@ -152,7 +151,7 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
         raise EmptyRangeError(f"empty range: lo={lo} > hi={hi}")
     if hi >= KERNEL_BOUND:
         raise FactorizationEffortError(f"sieving beyond {KERNEL_BOUND} is not supported")
-    return backend.primes_in_range(max(lo, 0), hi)
+    return pure.primes_in_range(max(lo, 0), hi)
 
 
 def factorize(n: int, effort_digits: int | None = None) -> FactoredInteger:
@@ -200,19 +199,16 @@ def _factor_hard(m: int, factors: dict[int, int]) -> None:
         if root * root == v:
             stack.extend((root, root))
             continue
-        if v < KERNEL_BOUND:
-            d = backend.brent_factor(v)
+        for c in range(1, 64):
+            d = pure._brent_round(v, c, _BRENT_BUDGET)
+            if d is None:
+                raise FactorizationEffortError(
+                    f"rho budget exhausted while splitting a {len(str(v))}-digit composite"
+                )
+            if d:
+                break
         else:
-            for c in range(1, 64):
-                d = pure._brent_round(v, c, _BRENT_BUDGET)
-                if d is None:
-                    raise FactorizationEffortError(
-                        f"rho budget exhausted while splitting a {len(str(v))}-digit composite"
-                    )
-                if d:
-                    break
-            else:
-                raise FactorizationEffortError("rho failed to split after 63 polynomial offsets")
+            raise FactorizationEffortError("rho failed to split after 63 polynomial offsets")
         stack.extend((d, v // d))
 
 

@@ -12,7 +12,6 @@ import sys
 from pathlib import Path
 
 from . import __version__, korselt, pipeline, zerosum
-from ._kernels import backend_name
 from .ap_search import heath_brown_scan
 from .construction import ConstructionInstance
 from .errors import (
@@ -35,7 +34,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Carmichael numbers with a prescribed K-invariant",
     )
     parser.add_argument("--version", action="version",
-                        version=f"carmik {__version__} ({backend_name()} kernels)")
+                        version=f"carmik {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="Korselt verdict and K for one integer")

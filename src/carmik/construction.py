@@ -186,8 +186,8 @@ def populate_R(
     """Bucket each q = g*j + 1 at g's smallest admissible j <= j_cap.
 
     Admissible means gcd(j, g) = 1 and g*j + 1 prime; ``arith.harvest_j``
-    finds it, and the pure kernel proves each q from the window primes of
-    g that divide q - 1.  Each g contributes at most one q; a q already
+    finds it, and its kernel proves each q from the window primes of g that
+    divide q - 1.  Each g contributes at most one q; a q already
     claimed by an earlier g is skipped, by a second call from j + 1, so that
     every prime appears in exactly one bucket (the decomposition of q - 1
     is not always unique, so first-come by ascending g canonicalizes it).

@@ -3,11 +3,10 @@
 The certifier is factorization-based: n qualifies iff it is composite,
 squarefree, and p - 1 | n - 1 for every prime p | n; a certificate is that
 factorization, built from known primes or by factoring.  The census,
-``pure.carmichael_census`` on either backend, applies the same test: it
-chooses the primes of n largest first, and where the product N of those
-chosen has few completions left it reads the cofactor m from the
-progression m == N^-1 (mod lcm(p - 1)) that Korselt forces, so it misses
-none.  It holds only the primes up to sqrt(limit), and ``census`` refuses
+``pure.carmichael_census``, applies the same test: it chooses the primes
+of n largest first, and where the product N of those chosen has few
+completions left it reads the cofactor m from the progression
+m == N^-1 (mod lcm(p - 1)) that Korselt forces, so it misses none.  It holds only the primes up to sqrt(limit), and ``census`` refuses
 a limit whose table of them would pass ``CENSUS_TABLE_CAP`` bytes.  The
 Fermat condition is only probed here, at seeded random bases
 (``fermat_probe``); the exhaustive all-bases oracle that cross-checks the

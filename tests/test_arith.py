@@ -1,7 +1,6 @@
 import bisect
 import math
 import random
-import types
 
 import brute_force
 import pytest
@@ -53,10 +52,16 @@ class TestIsPrime:
 
     def test_the_top_of_the_word_goes_to_the_kernel(self, monkeypatch):
         # 2**64 - 59 is the largest 64-bit prime; 2**63 + 1 is divisible by 3.
+        # Only a word gets the kernel's exact default bases.
         calls = []
-        kernel = arith.backend.is_prime_u64
-        recording = types.SimpleNamespace(is_prime_u64=lambda n: calls.append(n) or kernel(n))
-        monkeypatch.setattr(arith, "backend", recording)
+        kernel = pure.is_prime_u64
+
+        def recording(n, bases=None):
+            if bases is None:
+                calls.append(n)
+            return kernel(n, bases)
+
+        monkeypatch.setattr(pure, "is_prime_u64", recording)
         assert arith.is_prime(2**64 - 59)
         assert not arith.is_prime(2**63 + 1)
         assert not arith.is_prime(2**64 + 1)  # 274177 * 67280421310721
@@ -100,21 +105,25 @@ class TestHarvestJ:
         assert arith.harvest_j(self.G, self.PRIMES, 1, 79) == 12
 
     def test_a_g_past_the_word_never_reaches_the_kernel(self, monkeypatch):
-        # Eight window primes of z = 400, g ~ 2.2e20: every q passes 2**64.
-        # The stand-in kernel refuses a non-word, as the compiled one does.
+        # Eight window primes of z = 400, g ~ 2.2e20: every q passes 2**64,
+        # so every kernel call for this g carries LARGE_BASES, never the
+        # word-only default bases.
         primes = tuple(arith.primes_in_range(200, 400))
         g = math.prod(primes[-8:])
         assert g >= arith.KERNEL_BOUND
+        bases_for_g = []
+        kernel = pure.harvest_j
 
-        def word_kernel(g, primes, start, cap):
-            if not all(0 <= v < arith.KERNEL_BOUND for v in (g, start, cap)):
-                raise OverflowError("a kernel argument passes the word")
-            return pure.harvest_j(g, primes, start, cap)
+        def recording(g_, primes, start, cap, bases=None):
+            if g_ == g:
+                bases_for_g.append(bases)
+            return kernel(g_, primes, start, cap, bases)
 
-        monkeypatch.setattr(arith, "backend", types.SimpleNamespace(harvest_j=word_kernel))
+        monkeypatch.setattr(pure, "harvest_j", recording)
         want = next(j for j in range(1, 100) if math.gcd(j, g) == 1 and arith.is_prime(g * j + 1))
         assert arith.harvest_j(g, primes, 1, 100) == want
         assert arith.harvest_j(g, primes, want + 1, want) == 0
+        assert bases_for_g and set(bases_for_g) == {arith.LARGE_BASES}
         assert arith.harvest_j(self.G, self.PRIMES, 2, 79) == self.plain_walk(2, 79)
 
     def test_g_must_be_positive(self):
@@ -184,6 +193,19 @@ class TestFactorize:
     def test_rho_budget_above_the_kernel_bound(self, monkeypatch):
         n = 4294967311 * 4294967357  # two primes above 2**32; n >= 2**64
         assert n >= arith.KERNEL_BOUND
+        monkeypatch.setattr(arith, "_BRENT_BUDGET", 100)
+        with pytest.raises(FactorizationEffortError, match="rho budget exhausted"):
+            arith.factorize(n)
+
+    def test_word_size_composites_split_by_the_budgeted_loop(self, monkeypatch):
+        # Every size goes through the same budgeted Brent loop: a semiprime
+        # at the top of the word, a prime power that trial division settles,
+        # and the cube of a prime past the trial bound, which Brent splits.
+        n = 4294967291 * 4294967279
+        assert 2**63 <= n < arith.KERNEL_BOUND
+        assert arith.factorize(n).factors == ((4294967279, 1), (4294967291, 1))
+        assert arith.factorize(3**10).factors == ((3, 10),)
+        assert arith.factorize(20011**3).factors == ((20011, 3),)
         monkeypatch.setattr(arith, "_BRENT_BUDGET", 100)
         with pytest.raises(FactorizationEffortError, match="rho budget exhausted"):
             arith.factorize(n)

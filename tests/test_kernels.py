@@ -1,21 +1,10 @@
-"""Pure kernels against references assembled from simpler pure kernels.
-
-These run on every machine.  ``test_native_parity.py`` compares the
-compiled backend with the pure one where the extension is built, and
-``test_compiled_twin_builds_and_matches_pure`` builds it in a temporary
-copy to run that comparison wherever a C compiler is found.
-"""
+"""Pure kernels against references assembled from simpler pure kernels,
+or from sympy."""
 
 import functools
 import itertools
 import math
-import os
-import re
-import shutil
-import subprocess
-import sys
-import sysconfig
-from pathlib import Path
+import random
 
 import brute_force
 import pytest
@@ -25,60 +14,6 @@ from hypothesis import strategies as st
 
 from carmik._kernels import pure
 from carmik.ap_search import default_cap
-
-
-KERNELS_DIR = Path(pure.__file__).parent
-REPO = Path(__file__).resolve().parents[1]
-
-
-def backend_contract():
-    """Every name the library reads as backend.<name>."""
-    contract = set()
-    for path in KERNELS_DIR.parent.rglob("*.py"):
-        contract |= set(re.findall(r"\bbackend\.(\w+)", path.read_text()))
-    return contract
-
-
-def test_both_backends_define_the_contract():
-    # Read from the C source's method table and module constants, so it
-    # holds where the extension is not built; equality keeps kernels that
-    # only tests call out of the compiled module.
-    contract = backend_contract()
-    named = {"BACKEND_NAME", "is_prime_u64", "first_prime_in_ap", "brent_factor", "harvest_j"}
-    assert named <= contract
-    source = (KERNELS_DIR / "_native.c").read_text()
-    table = source.split("native_methods[] = {", 1)[1].split("};", 1)[0]
-    compiled = set(re.findall(r'^\s*\{"(\w+)",', table, flags=re.MULTILINE))
-    compiled |= set(re.findall(r'PyModule_Add\w*Constant\(\w+, "(\w+)"', source))
-    assert compiled == contract
-    assert sorted(n for n in contract if not hasattr(pure, n)) == []
-
-
-def test_compiled_twin_builds_and_matches_pure(tmp_path):
-    # Builds the extension in a copy, never under src/, and runs the parity
-    # tests against it.  setup.py's optional=True turns a compile error into
-    # a warning, so the test fails when no module was built.
-    compiler = (sysconfig.get_config_var("CC") or "cc").split()[0]
-    if shutil.which(compiler) is None:
-        pytest.skip(f"no C compiler: {compiler} not found")
-    shutil.copytree(REPO / "src", tmp_path / "src",
-                    ignore=shutil.ignore_patterns("__pycache__", "*.so"))
-    for name in ("setup.py", "pyproject.toml"):
-        shutil.copy(REPO / name, tmp_path / name)
-    build = subprocess.run([sys.executable, "setup.py", "build_ext", "--inplace"],
-                           cwd=tmp_path, capture_output=True, text=True, timeout=600)
-    built = tmp_path / "src/carmik/_kernels" / ("_native" + sysconfig.get_config_var("EXT_SUFFIX"))
-    assert built.exists(), build.stdout[-4000:] + build.stderr[-4000:]
-    env = {k: v for k, v in os.environ.items() if k != "CARMIK_PURE"}
-    env["PYTHONPATH"] = str(tmp_path / "src")
-    parity = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         str(REPO / "tests/test_native_parity.py")],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600,
-    )
-    summary = parity.stdout.strip().splitlines()[-1:]
-    assert parity.returncode == 0, parity.stdout[-4000:] + parity.stderr[-4000:]
-    assert "passed" in summary[0] and "skipped" not in summary[0], summary
 
 
 TWELVE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -182,6 +117,20 @@ def test_tiered_bases_agree_with_twelve_and_sympy(n):
     assert pure.is_prime_u64(n, TWELVE_PRIMES) == expected
 
 
+CARMICHAELS = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265]
+EDGE_VALUES = [0, 1, 2, 3, 4, 5, 16, 211, 212, 211 * 211, 211 * 211 + 2, 561, 647]
+EDGE_VALUES += [2**31 - 1, 2**32 + 15, 2**61 - 1, 2**63 - 25, 2**63 + 29, 2**64 - 59, 2**64 - 1]
+# Each bound of the default base sets, and two primes that divide a base of
+# their own set.
+EDGE_VALUES += [bound + e for bound, _ in FINITE_TIERS for e in (-2, 0, 2)]
+EDGE_VALUES += [98207, 3709689913]
+
+
+@pytest.mark.parametrize("n", EDGE_VALUES + CARMICHAELS)
+def test_edge_values_match_sympy(n):
+    assert pure.is_prime_u64(n) == sympy.isprime(n)
+
+
 def proof_sets(n):
     """(factors, F) for every set of distinct primes of n - 1 with F**3 > n."""
     primes = sympy.primefactors(n - 1)
@@ -226,6 +175,49 @@ def test_n_minus_1_proof_rejects_pseudoprimes(n):
     assert pure.harvest_j(n - 1, tuple(sympy.primefactors(n - 1)), 1, 1) == 0
 
 
+@st.composite
+def harvest_calls(draw):
+    """harvest_j arguments: g over the primes of a window [z/2, z], passed
+    whole, from the first j, past cap < start, and up to 2**64."""
+    z = draw(st.integers(4, 700))
+    primes = tuple(pure.primes_in_range((z + 1) // 2, z))
+    factors = draw(st.lists(st.sampled_from(primes), min_size=1, max_size=6, unique=True))
+    g = math.prod(factors)
+    top = (2**64 - 2) // g  # the last j with g*j + 1 < 2**64
+    if draw(st.booleans()):
+        cap = top - draw(st.integers(0, 50))
+        start = cap - draw(st.integers(-5, 300))
+    else:
+        start = draw(st.integers(1, 300))
+        cap = max(0, min(top, start + draw(st.integers(-5, 800))))
+    return g, primes, start, cap
+
+
+def plain_harvest_walk(g, start, cap):
+    """The least j in [start, cap] with gcd(j, g) == 1 and g*j + 1 prime,
+    by Miller-Rabin on every j in turn; 0 if none."""
+    return next((j for j in range(start, cap + 1)
+                 if math.gcd(j, g) == 1 and pure.is_prime_u64(g * j + 1)), 0)
+
+
+@settings(deadline=None, max_examples=300)
+@given(harvest_calls())
+@example((3, (3,), 1, 10))  # q = 7 at j = 2
+@example((2, (2, 3), 1, 10))  # q = 3 at j = 1
+@example((101 * 103 * 107 * 109 * 113, (101, 103, 107, 109, 113), 5, 4))  # cap < start
+@example((2, (2,), 2**63 - 200, 2**63 - 1))  # q up to 2**64 - 1
+def test_harvest_j_matches_a_plain_walk(args):
+    g, primes, start, cap = args
+    assert pure.harvest_j(g, primes, start, cap) == plain_harvest_walk(g, start, cap), args
+
+
+def test_harvest_j_refuses_a_cap_past_the_word():
+    # The default bases are exact below 2**64 only.
+    for g, cap in ((2, 2**63), (2**63, 2), (1, 2**64 - 1)):
+        with pytest.raises(OverflowError):
+            pure.harvest_j(g, (), 1, cap)
+
+
 def test_discriminant_alone_rejects_13747():
     # The premise of 13747's case above: base 2 passes Fermat and the gcd
     # for F = 29, and c1**2 - 4*c2 is the square (8 - 2)**2.
@@ -252,6 +244,33 @@ def reference_ap_max_scan(l_lo, l_hi, caps):
                 best_b, best_p = b, p
         per_l.append((l, best_b, best_p))
     return per_l, misses
+
+
+def plain_first_prime(modulus, residue, cap):
+    """first_prime_in_ap by sympy.isprime on every term."""
+    t, steps = residue, 0
+    while t <= cap:
+        steps += 1
+        if sympy.isprime(t):
+            return t, steps
+        t += modulus
+    return 0, steps
+
+
+def test_first_prime_in_ap_matches_a_sympy_walk():
+    rng = random.Random(3)
+    # The last three end at the top of the word: the next term of the first
+    # two would pass 2**64 - 1, and the third's second term is 2**64 - 59.
+    cases = [(4, 1, 1000), (2, 1, 1000), (25, 24, 30),
+             (2**63, 1, 2**64 - 1), (2**64 - 2, 1, 2**64 - 1), (2**64 - 60, 1, 2**64 - 1)]
+    while len(cases) < 200:
+        l = rng.randrange(2, 500)
+        b = rng.randrange(1, l)
+        if math.gcd(b, l) == 1:
+            cases.append((l, b, l * 50 + 100))
+    for l, b, cap in cases:
+        assert pure.first_prime_in_ap(l, b, cap) == plain_first_prime(l, b, cap), (l, b, cap)
+    assert pure.first_prime_in_ap(2**64 - 60, 1, 2**64 - 1) == (2**64 - 59, 2)
 
 
 @st.composite
