@@ -1,7 +1,11 @@
 import collections
 import dataclasses
+import functools
 import itertools
 import math
+import os
+import threading
+import time
 from fractions import Fraction
 
 import brute_force
@@ -125,6 +129,35 @@ def reference_populate_R(j_product, omega_g, j_cap):
     return cons.RMap(buckets=buckets, misses=tuple(misses))
 
 
+@functools.cache
+def derived_150():
+    """populate_R's arguments at derived z = 150 (2002 g), and the plain walk's RMap."""
+    cc = cons.ConstructionConfig(z=150, nu=2)
+    args = (cons.build_J(150), cc.resolved_omega_g, cc.resolved_j_cap)
+    return args, reference_populate_R(*args)
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def three_cpus(monkeypatch):
+    """Three usable CPUs, whatever the host; the list of the pids os.fork returns."""
+    monkeypatch.setattr(cons, "_usable_cpus", lambda: 3)
+    fork, pids = os.fork, []
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return pids
+
+
 def outcome(fn, *args, **kwargs):
     try:
         return "ok", fn(*args, **kwargs)
@@ -209,13 +242,15 @@ class TestCandidateSieves:
                 for size, omega_d in ((1, 1), (2, 1), (2, 2)):
                     assert_families_match(rmap, nu, size, omega_d, 300)
 
-    def test_a_derived_window_matches_the_plain_walk(self):
+    def test_a_derived_window_matches_the_plain_walk(self, three_cpus):
         # z = 150 at the derived omega_g = 5 and j_cap = 631: 2002 g, whose
-        # q the pure kernel proves from two or three window primes each.
-        cc = cons.ConstructionConfig(z=150, nu=2)
-        args = (cons.build_J(150), cc.resolved_omega_g, cc.resolved_j_cap)
+        # q the pure kernel proves from two or three window primes each,
+        # walked by three workers on any host.
+        args, want = derived_150()
         assert args[1:] == (5, 631)
-        assert_rmap_equal(cons.populate_R(*args), reference_populate_R(*args))
+        assert_rmap_equal(cons.populate_R(*args), want)
+        assert len(three_cpus) == 2
+        assert_no_child()
 
     def test_a_g_past_the_word_matches_the_plain_walk(self):
         # omega_g = 8 over the top nine window primes of z = 400: each g is
@@ -279,6 +314,99 @@ class TestCandidateSieves:
         ll = l1.value * l2.value
         sieved = sum(s[t] for t in range(1, 4001) if math.gcd(2 * t + 1, ll) == 1 for s in sieves)
         assert 20 * calls["is_prime"] < sieved < calls["isprime"]
+
+
+class TestParallelHarvest:
+    """populate_R's forked workers: the same RMap, or the same error, and no child left."""
+
+    def test_a_child_that_dies_has_its_slice_redone(self, three_cpus, monkeypatch):
+        parent, harvest_j = os.getpid(), arith.harvest_j
+
+        def dies_in_a_child(*args):
+            if os.getpid() != parent:
+                os._exit(1)
+            return harvest_j(*args)
+
+        monkeypatch.setattr(arith, "harvest_j", dies_in_a_child)
+        args, want = derived_150()
+        assert_rmap_equal(cons.populate_R(*args), want)
+        assert len(three_cpus) == 2
+        assert_no_child()
+
+    @pytest.mark.parametrize("error", [DomainError, OverflowError])
+    def test_a_harvest_error_leaves_with_its_type(self, three_cpus, monkeypatch, error):
+        args, _ = derived_150()
+        # The first g of slice 1, which a child walks; the parent redoes it.
+        bad, harvest_j = cons.enumerate_g(*args[:2])[1], arith.harvest_j
+
+        def fails_at_bad(g, *rest):
+            if g == bad:
+                raise error(f"planted at g = {g}")
+            return harvest_j(g, *rest)
+
+        monkeypatch.setattr(arith, "harvest_j", fails_at_bad)
+        with pytest.raises(error, match=f"planted at g = {bad}$"):
+            cons.populate_R(*args)
+        assert len(three_cpus) == 2
+        assert_no_child()
+
+    def test_an_error_here_kills_every_child(self, three_cpus, monkeypatch):
+        # A child would stall for 30 s; the parent fails at once.
+        parent = os.getpid()
+
+        def stalls_in_a_child(*args):
+            if os.getpid() != parent:
+                time.sleep(30)
+                os._exit(1)
+            raise DomainError("planted in the parent")
+
+        monkeypatch.setattr(arith, "harvest_j", stalls_in_a_child)
+        args, _ = derived_150()
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="planted in the parent"):
+            cons.populate_R(*args)
+        assert time.perf_counter() - start < 10
+        assert len(three_cpus) == 2
+        assert_no_child()
+
+    def test_a_failed_fork_leaves_its_slice_here(self, three_cpus, monkeypatch):
+        fork = os.fork
+
+        def forks_once():
+            if three_cpus:
+                raise BlockingIOError("planted: no process to be had")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", forks_once)
+        args, want = derived_150()
+        assert_rmap_equal(cons.populate_R(*args), want)
+        assert len(three_cpus) == 1
+        assert_no_child()
+
+    @pytest.mark.parametrize("case", ["no os.fork", "one CPU", "another thread", "few g"])
+    def test_serial_where_a_fork_is_useless_or_unsafe(self, monkeypatch, case):
+        def no_fork():
+            raise AssertionError("populate_R forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(cons, "_usable_cpus", lambda: 1 if case == "one CPU" else 3)
+        if case == "no os.fork":
+            monkeypatch.delattr(os, "fork")
+        args, want = derived_150()
+        if case == "few g":
+            args = (args[0], 3, args[2])  # 364 g
+            want = reference_populate_R(*args)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait, args=(30,))
+        if case == "another thread":
+            thread.start()
+        try:
+            assert_rmap_equal(cons.populate_R(*args), want)
+        finally:
+            stop.set()
+            if thread.ident is not None:
+                thread.join(30)
+        assert not thread.is_alive()
 
 
 class TestSelectJ0:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import re
 from pathlib import Path
 
@@ -104,6 +105,17 @@ class TestHarvest:
         assert a == b
         assert a.serialize() == b.serialize()
         assert pipeline.instance_fingerprint(a) == pipeline.instance_fingerprint(b)
+
+    def test_the_derived_z200_instance_is_pinned(self):
+        # perfbench's derived construct config: omega_g = 5 and j_cap = 789
+        # from z, 20 349 g, split across the usable CPUs where there are two.
+        cc = ConstructionConfig(z=200, nu=2, omega_d=2, q_subset_size=3)
+        instance = pipeline.harvest_instance(cc)
+        assert pipeline.instance_fingerprint(instance) == (
+            "sha256:a0324db82e0e5a19fce831a76ec288c8d978e0835cb0d3f753fa7a9f6ef08d6c"
+        )
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_bucket_stage_error(self):
         rc = pipeline.parse_config("z = 74\nnu = 2\nomega_g = 1\nq_subset_size = 40\n")
