@@ -1,22 +1,29 @@
 """Wall time of the kernels on fixed workloads.
 
-Usage:  python3 benchmarks/bench_kernels.py [--repeat N]
+Usage:  PYTHONPATH=src python3 benchmarks/bench_kernels.py [--repeat N]
 
 Each row times one workload of a kernel in ``carmik._kernels.pure``, best
 of N runs, and checks its value against an answer found another way: the
 census counts against OEIS A055553, the prime counts against
-``sympy.isprime`` (found once and written here), and every other row
-against a plain recomputation, untimed.  The semiprime row runs through
-``arith.factorize``, the library's one Brent driver.
+``sympy.isprime`` (found once and written here), the planted subsets
+against their positions, and every other row against a plain
+recomputation, untimed.  The semiprime row runs through
+``arith.factorize``, the library's one Brent driver.  The results go to
+BENCH_kernels.json beside this script.
 """
 
 import argparse
 import itertools
+import json
 import math
+import os
+import platform
 import random
 import time
+from pathlib import Path
 
-from carmik import arith
+from bench_harvest import commit
+from carmik import arith, construction, pipeline
 from carmik._kernels import pure
 
 # Carmichael numbers up to 10^7 .. 10^10 (OEIS A055553).
@@ -79,6 +86,33 @@ def workloads():
     band = range(1000, 1200)
     band_caps = [int(l * math.log(l) ** 3) + 100 for l in band]
 
+    # The modulus M = L1*L2*k1*k2*nu of the derived z=200 instance, 260
+    # bits, and 18 units mod M per list with a product-one subset of 2 to 4
+    # planted at odd indices of the upper half, as in perfbench's find-mitm
+    # calls: the walk of the upper half reaches it late.
+    derived = pipeline.harvest_instance(
+        construction.ConstructionConfig(z=200, nu=2, omega_d=2, q_subset_size=3))
+    assert pipeline.instance_fingerprint(derived).startswith("sha256:a0324db82e0e5a19")
+    m260 = construction.zero_sum_modulus(derived).value
+
+    def unit():
+        while True:
+            u = rng.randrange(2, m260)
+            if math.gcd(u, m260) == 1:
+                return u
+
+    planted = []
+    for _ in range(40):
+        units = [unit() for _ in range(18)]
+        where = sorted(rng.sample(range(9, 18, 2), rng.randint(2, 4)))
+        units[where[-1]] = pow(math.prod(units[i] for i in where[:-1]), -1, m260)
+        planted.append((units, tuple(where)))
+
+    def check_planted(results):
+        assert [w for _, w in planted] == [witness for _, witness in results]
+        assert all(status == pure.FOUND and math.prod(units[i] for i in w) % m260 == 1
+                   for (units, w), (status, _) in zip(planted, results))
+
     def check_harvest(js):
         # Each j is the least one, by Miller-Rabin on every j below it.
         for g, j in zip(harvest_g, js):
@@ -117,19 +151,29 @@ def workloads():
            check_factors)
     yield ("subset mitm x 200 (mod 105)",
            lambda: [pure.subset_witness_mitm(e, 105, 0) for e in stress], check_witnesses)
+    yield (f"subset mitm x {len(planted)}, 18 units mod a {m260.bit_length()}-bit M",
+           lambda: [pure.subset_witness_mitm(u, m260, 0) for u, _ in planted], check_planted)
 
 
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--repeat", type=int, default=3)
     args = parser.parse_args()
-    header = f"{'workload':<38} {'seconds':>10}"
+    header = f"{'workload':<44} {'seconds':>10}"
     print(header)
     print("-" * len(header))
+    rows = []
     for name, fn, check in workloads():
         value, seconds = timed(fn, args.repeat)
         check(value)
-        print(f"{name:<38} {seconds:>9.3f}s")
+        rows.append(dict(workload=name, seconds=round(seconds, 5)))
+        print(f"{name:<44} {seconds:>9.4f}s", flush=True)
+    result = dict(
+        python=platform.python_version(), cores=os.cpu_count(),
+        usable_cpus=len(os.sched_getaffinity(0)), commit=commit(),
+        statistic=f"best of {args.repeat} runs", rows=rows,
+    )
+    Path(__file__).with_name("BENCH_kernels.json").write_text(json.dumps(result, indent=1) + "\n")
 
 
 if __name__ == "__main__":

@@ -531,9 +531,12 @@ def subset_witness_mitm(elements, modulus, table_cap):
     """Meet-in-the-middle search for a subset with product 1 mod modulus.
 
     Subset products of the low half are tabulated, then subsets of the high
-    half are matched against inverses.  Deterministic: both enumerations run
-    in the same preorder as subset_witness_exhaustive, and the first match
-    wins.  Requires every element to be a unit mod modulus.
+    half are matched against them: the inverse of a high-half product is
+    the product of the inverses of its elements, so those are inverted
+    once, and the walk multiplies them and looks each product up.
+    Deterministic: both enumerations run in the same preorder as
+    subset_witness_exhaustive, and the first match wins.  Requires every
+    element to be a unit mod modulus.
 
     Returns the same (status, witness) protocol as the exhaustive search;
     the budget bounds the table size.
@@ -567,19 +570,21 @@ def subset_witness_mitm(elements, modulus, table_cap):
             i = path.pop() + 1
             prods.pop()
 
-    # Walk high-half subsets; match the inverse of each product against
-    # the table, and catch high-half-only witnesses directly.
+    # Walk high-half subsets by the product of their inverses, which is 1
+    # exactly when the subset's product is: match it against the table,
+    # and catch high-half-only witnesses directly.
+    inverses = [pow(e, -1, modulus) for e in reduced[half:]]
     path = []
     prods = [one]
     i = half
     while True:
         if i < n:
-            p = prods[-1] * reduced[i] % modulus
+            p = prods[-1] * inverses[i - half] % modulus
             path.append(i)
             prods.append(p)
             if p == one:
                 return FOUND, tuple(path)
-            mate = table.get(pow(p, -1, modulus))
+            mate = table.get(p)
             if mate is not None:
                 return FOUND, mate + tuple(path)
             i += 1

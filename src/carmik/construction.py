@@ -348,16 +348,32 @@ def _affine_sieve(a: int, b: int, count: int, primes: list[int]) -> bytearray:
     primes other than itself, 1 elsewhere (a, b >= 1).
     """
     flags = bytearray(b"\x01") * (count + 1)
+    zeros = bytes(count)
     for r in primes:
-        if a % r == 0:
+        a_r = a % r
+        if a_r == 0:
             if b % r == 0:  # r | a*t + b > r for every t
-                flags[1:] = bytes(count)
+                flags[1:] = zeros
                 return flags
             continue
-        t = -b * pow(a, -1, r) % r or r
+        t = -b * pow(a_r, -1, r) % r or r
         if a * t + b == r:
             t += r
-        flags[t::r] = bytes(len(range(t, count + 1, r)))
+        if t <= count:
+            flags[t::r] = zeros[: (count - t) // r + 1]
+    return flags
+
+
+def _strike(step: int, count: int, primes) -> bytearray:
+    """Flags for t = 0..count: 0 at t = 0 and where step*t + 1 has a factor
+    in primes, 1 elsewhere.
+    """
+    flags = bytearray(b"\x01") * (count + 1)
+    flags[0] = 0
+    for q in primes:
+        if step % q:
+            t = -pow(step, -1, q) % q
+            flags[t::q] = bytes(len(range(t, count + 1, q)))
     return flags
 
 
@@ -374,11 +390,11 @@ def search_P(
 
     First mode (k1 is None) tries k = nu*k' + 1 for k' = 1..k_cap; second
     mode tries k = nu*k'*k1 + 1, which is automatically coprime to both nu
-    and k1.  Coprimality to L1*L2 is checked explicitly for every candidate
-    k.  Among candidates reaching min_count hits, the largest family wins,
-    ties to the smallest k.  Returns (k, ((p, d), ...)) with d ascending.
-    Each divisor's candidates are sieved by the primes up to _SIEVE_BOUND
-    before any primality test.
+    and k1.  A k that shares a prime with L1*L2 is struck, by one affine
+    sieve over k' per prime of L1*L2.  Among candidates reaching min_count
+    hits, the largest family wins, ties to the smallest k.  Returns
+    (k, ((p, d), ...)) with d ascending.  Each divisor's candidates are
+    sieved by the primes up to _SIEVE_BOUND before any primality test.
 
     Only a strictly larger family changes the answer, so a k is tested only
     while it can still beat the largest family seen so far: a k whose sieve
@@ -387,6 +403,14 @@ def search_P(
     no family has reached min_count, the largest seen is below min_count,
     so a skipped k could not have reached it either; the result and the
     SearchExhaustedError stats are those of testing every survivor.
+
+    The skip costs no step per k: lane k' of one integer, w bytes wide,
+    counts the divisors whose candidate at k' survives its sieve (0 where
+    k is struck), and ``bytes.find`` on a view that marks the lanes above
+    the largest family jumps to the next k worth testing.  The view is
+    rebuilt only when that family grows.  The sum of the lanes is the
+    SearchExhaustedError's ``survivors``: the (k, d) pairs left to test,
+    0 when the sieves and the strike leave the search structurally empty.
     """
     if nu % 2 != 0:
         raise DomainError("nu must be even")
@@ -406,17 +430,40 @@ def search_P(
     # p = d*k*nu + 1 with k = nu*c*k' + 1 is affine in k': p = a*k' + b.
     primes = arith.primes_in_range(2, _SIEVE_BOUND)
     sieves = [_affine_sieve(d * nu * nu * c, d * nu + 1, k_cap, primes) for d in divisors]
+    # A lane of w bytes holds a count below 2**(bits - 1), so adding
+    # 2**(bits - 1) - 1 - size to every lane sets its top bit exactly where
+    # the count exceeds size, and carries into no other lane.
+    w = (len(divisors).bit_length() + 8) // 8
+    bits = 8 * w
+    lanes = bytearray(w * (k_cap + 1))
+
+    def lane_int(flags: bytearray) -> int:
+        lanes[::w] = flags
+        return int.from_bytes(lanes, "little")
+
+    ones = lane_int(b"\x01" * (k_cap + 1))
+    counts = sum(map(lane_int, sieves))
+    struck = _strike(nu * c, k_cap, set(l_own.primes + l_other.primes))
+    counts &= lane_int(struck) * ((1 << bits) - 1)
+    top = ones << (bits - 1)
+
+    def above(size: int) -> bytes:
+        """Byte 0x80 at the top of each lane whose count exceeds size, 0 elsewhere."""
+        marks = (counts + ones * ((1 << (bits - 1)) - 1 - size)) & top
+        return marks.to_bytes(len(lanes), "little")
+
     best: tuple[int, tuple[tuple[int, int], ...]] | None = None
     best_any = (0, 0)  # (size, k) over every candidate, for diagnostics
-    for k_step in range(1, k_cap + 1):
+    view = above(0)
+    at = view.find(b"\x80")
+    while at >= 0:
+        k_step = at // w
         k = nu * c * k_step + 1
-        if math.gcd(k, ll) != 1:
-            continue
         left = [d for d, sieve in zip(divisors, sieves) if sieve[k_step]]
         hits = []
         for i, d in enumerate(left):
             # Stop once even a hit at every untested survivor could not beat
-            # best_any; at i = 0 that skips k without a test.
+            # best_any.
             if len(hits) + len(left) - i <= best_any[0]:
                 break
             p = d * k * nu + 1
@@ -424,11 +471,14 @@ def search_P(
                 hits.append((p, d))
         if len(hits) > best_any[0]:
             best_any = (len(hits), k)
+            view = above(len(hits))
         if len(hits) >= min_count and (best is None or len(hits) > len(best[1])):
             best = (k, tuple(hits))
             if len(hits) == len(divisors):
                 break  # no candidate can beat a full family
+        at = view.find(b"\x80", w * (k_step + 1))
     if best is None:
+        packed = counts.to_bytes(len(lanes), "little")
         raise SearchExhaustedError(
             f"no k <= {k_cap} produced {min_count} primes over {len(divisors)} divisors",
             k_cap=k_cap,
@@ -436,6 +486,7 @@ def search_P(
             divisors=len(divisors),
             best_size=best_any[0],
             best_k=best_any[1],
+            survivors=sum(sum(packed[j::w]) << (8 * j) for j in range(w)),
         )
     return best
 

@@ -6,7 +6,9 @@ Korselt scan over every odd n, reads; the census kernel is checked
 against that scan, and against ``walk_census``, the linear walk over
 n == P (mod P(P - 1)) from each largest prime P, at limits too large for
 the table.  ``search_P`` is the family search that tests every
-candidate with ``sympy.isprime``.
+candidate with ``sympy.isprime`` and counts, by trial division, the
+candidates that the sieve leaves.  ``subset_witness_mitm`` is the
+meet-in-the-middle walk that inverts each high-half product.
 """
 
 from itertools import combinations
@@ -14,7 +16,8 @@ from math import gcd, isqrt, prod
 
 import sympy
 
-from carmik._kernels.pure import primes_in_range
+from carmik._kernels.pure import BUDGET_EXCEEDED, FOUND, NO_WITNESS, primes_in_range
+from carmik.construction import _SIEVE_BOUND
 from carmik.errors import DomainError, SearchExhaustedError
 
 
@@ -132,7 +135,12 @@ def _korselt_k(n, m, big, primes):
 
 
 def search_P(l_own, l_other, nu, omega_d, k_cap, min_count, k1=None):
-    """construction.search_P testing every candidate p: no sieve, no pruning."""
+    """construction.search_P testing every candidate p: no sieve, no pruning.
+
+    Its SearchExhaustedError counts as survivors the candidates p at every
+    k <= k_cap coprime to L1*L2 that no prime r <= _SIEVE_BOUND, r != p,
+    divides.
+    """
     ll = l_own.value * l_other.value
     if k1 is not None and gcd(k1, nu * ll) != 1:
         raise DomainError("supplied k1 is not coprime to nu*L1*L2")
@@ -143,11 +151,15 @@ def search_P(l_own, l_other, nu, omega_d, k_cap, min_count, k1=None):
             omega_d=omega_d,
             available=l_own.omega,
         )
-    best, best_any = None, (0, 0)
+    small = list(sympy.primerange(2, _SIEVE_BOUND + 1))
+    best, best_any, survivors = None, (0, 0), 0
     for k_step in range(1, k_cap + 1):
         k = nu * k_step + 1 if k1 is None else nu * k_step * k1 + 1
         if gcd(k, ll) != 1:
             continue
+        for d in divisors:
+            p = d * k * nu + 1
+            survivors += all(p % r or p == r for r in small)
         hits = tuple((d * k * nu + 1, d) for d in divisors if sympy.isprime(d * k * nu + 1))
         if len(hits) > best_any[0]:
             best_any = (len(hits), k)
@@ -163,5 +175,55 @@ def search_P(l_own, l_other, nu, omega_d, k_cap, min_count, k1=None):
             divisors=len(divisors),
             best_size=best_any[0],
             best_k=best_any[1],
+            survivors=survivors,
         )
     return best
+
+
+def subset_witness_mitm(elements, modulus, table_cap):
+    """pure.subset_witness_mitm as it was before it inverted the high half
+    once: one modular inverse per node of the high-half walk."""
+    n = len(elements)
+    reduced = [e % modulus for e in elements]
+    one = 1 % modulus
+    half = n // 2
+    table = {}
+    path = []
+    prods = [one]
+    i = 0
+    while True:
+        if i < half:
+            p = prods[-1] * reduced[i] % modulus
+            path.append(i)
+            prods.append(p)
+            if p == one:
+                return FOUND, tuple(path)
+            if p not in table:
+                if table_cap and len(table) >= table_cap:
+                    return BUDGET_EXCEEDED, None
+                table[p] = tuple(path)
+            i += 1
+        else:
+            if not path:
+                break
+            i = path.pop() + 1
+            prods.pop()
+    path = []
+    prods = [one]
+    i = half
+    while True:
+        if i < n:
+            p = prods[-1] * reduced[i] % modulus
+            path.append(i)
+            prods.append(p)
+            if p == one:
+                return FOUND, tuple(path)
+            mate = table.get(pow(p, -1, modulus))
+            if mate is not None:
+                return FOUND, mate + tuple(path)
+            i += 1
+        else:
+            if not path:
+                return NO_WITNESS, None
+            i = path.pop() + 1
+            prods.pop()

@@ -482,10 +482,33 @@ class TestSearchP:
             cons.search_P(factored(647), factored(1103), 2, 2, 100, 1)
 
     def test_min_count_exhaustion_reports_best(self):
-        # k' = 1, 2 give 3883 = 11 * 353 and 6471 = 3 * 2157, both composite.
+        # k' = 1, 2 give 3883 = 11 * 353 and 6471 = 3 * 2157, both composite
+        # with a factor the sieve strikes.
         with pytest.raises(SearchExhaustedError) as exc:
             cons.search_P(factored(647), factored(1103), 2, 1, 2, 1)
         assert exc.value.stats["best_size"] == 0
+        assert exc.value.stats["survivors"] == 0
+
+    def test_a_composite_the_sieve_leaves_is_a_survivor(self):
+        # k' = 2 gives 10000391 = 2689 * 3719, past the sieve's primes.
+        args = (factored(1000039), factored(1103), 2, 1, 2, 1)
+        got = outcome(cons.search_P, *args)
+        assert got == outcome(brute_force.search_P, *args)
+        assert got[2]["best_size"] == 0 and got[2]["survivors"] == 1
+
+    @pytest.mark.parametrize("primes, omega_d", [(11, 5), (13, 6)])
+    @pytest.mark.parametrize("min_count", [1, 2000])
+    def test_lanes_past_one_byte_match_the_plain_walk(self, primes, omega_d, min_count):
+        # 462 and 1716 divisors need lanes of two bytes; at 1716 a lane
+        # counts more than 255 survivors.  min_count = 2000 exhausts both.
+        l_own = factored(*arith.primes_in_range(1000, 1200)[:primes])
+        l_other = factored(1201, 1213)
+        k_cap = 12 if primes == 11 else 4
+        for k1 in (None, 7):
+            args = (l_own, l_other, 2, omega_d, k_cap, min_count)
+            got = outcome(cons.search_P, *args, k1=k1)
+            assert got == outcome(brute_force.search_P, *args, k1=k1)
+            assert got[0] == ("ok" if min_count == 1 else "exhausted")
 
     def test_bad_k1_rejected(self):
         with pytest.raises(DomainError):

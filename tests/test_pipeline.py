@@ -144,6 +144,17 @@ class TestHarvest:
         assert isinstance(exc.value.__cause__, SearchExhaustedError)
         assert list(timings) == ["build_J", "populate_R", "select_split", "search_P1", "search_P2"]
 
+    @pytest.mark.parametrize("z, size", [(400, 5), (200, 3)])
+    def test_an_empty_family_reports_no_survivors(self, z, size):
+        # Both families of the construct benchmark's kept failures: the
+        # sieve by 3 leaves no candidate of family 2 at any k <= k_cap.
+        cc = ConstructionConfig(z=z, nu=2, omega_g=1, omega_d=2, j_cap=40, k_cap=4000,
+                                q_subset_size=size)
+        with pytest.raises(StageError) as exc:
+            pipeline.harvest_instance(cc)
+        assert exc.value.stage == "family-2"
+        assert exc.value.data["survivors"] == exc.value.data["best_size"] == 0
+
 
 class TestZeroSumStage:
     def test_insufficient_primes_guard(self):

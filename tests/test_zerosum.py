@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 
+import brute_force
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -337,6 +338,31 @@ class TestProductOneWalk:
         assert enumerate_outcome(zerosum.enumerate_product_one_subsets, *args) == enumerate_outcome(
             reference_enumerate, *args
         )
+
+
+@st.composite
+def mitm_cases(draw):
+    """(units, m, table_cap): m = 1, 2, 105 or about 2**260, up to 20 units,
+    often with a planted product-one subset, and a table cap that a full
+    low half of a large m overflows."""
+    m = draw(st.sampled_from((1, 2, 105)) | st.integers(2**259, 2**260))
+    units = []
+    for a in draw(st.lists(st.integers(1, 2**261), max_size=20)):
+        while math.gcd(a, m) != 1:
+            a += 1
+        units.append(a)
+    if len(units) >= 2 and draw(st.booleans()):
+        where = draw(st.lists(st.integers(0, len(units) - 1), min_size=2, max_size=4, unique=True))
+        rest = math.prod(units[i] for i in where[1:]) % m
+        units[where[0]] = pow(rest, -1, m)
+    return units, m, draw(st.just(0) | st.integers(1, 64))
+
+
+class TestMeetInTheMiddle:
+    @settings(deadline=None, max_examples=300)
+    @given(mitm_cases())
+    def test_matches_the_walk_that_inverts_every_node(self, case):
+        assert pure.subset_witness_mitm(*case) == brute_force.subset_witness_mitm(*case)
 
 
 class TestStressSmall:
