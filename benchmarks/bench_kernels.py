@@ -108,10 +108,24 @@ def workloads():
         units[where[-1]] = pow(math.prod(units[i] for i in where[:-1]), -1, m260)
         planted.append((units, tuple(where)))
 
+    # The same for 12 units, as in perfbench's enumerate calls, each with a
+    # subset of 2 or 3 planted at odd indices of the upper half: the
+    # enumeration lists that subset alone, after all 2**12 - 1 nodes.
+    planted12 = []
+    for _ in range(40):
+        units = [unit() for _ in range(12)]
+        where = sorted(rng.sample(range(7, 12, 2), rng.randint(2, 3)))
+        units[where[-1]] = pow(math.prod(units[i] for i in where[:-1]), -1, m260)
+        planted12.append((units, tuple(where)))
+
     def check_planted(results):
         assert [w for _, w in planted] == [witness for _, witness in results]
         assert all(status == pure.FOUND and math.prod(units[i] for i in w) % m260 == 1
                    for (units, w), (status, _) in zip(planted, results))
+
+    def check_enumerated(results):
+        assert results == [(pure.FOUND, [w], 2**12 - 1) for _, w in planted12]
+        assert all(math.prod(units[i] for i in w) % m260 == 1 for units, w in planted12)
 
     def check_harvest(js):
         # Each j is the least one, by Miller-Rabin on every j below it.
@@ -153,6 +167,9 @@ def workloads():
            lambda: [pure.subset_witness_mitm(e, 105, 0) for e in stress], check_witnesses)
     yield (f"subset mitm x {len(planted)}, 18 units mod a {m260.bit_length()}-bit M",
            lambda: [pure.subset_witness_mitm(u, m260, 0) for u, _ in planted], check_planted)
+    yield (f"product-one walk x {len(planted12)}, 12 units mod the M",
+           lambda: [pure._product_one_walk(u, m260, None, 0) for u, _ in planted12],
+           check_enumerated)
 
 
 def main():

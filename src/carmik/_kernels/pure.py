@@ -15,7 +15,10 @@ are exact Python integer arithmetic at any size.
 The product-one subset walk lives here once, as ``_product_one_walk``:
 ``zerosum.enumerate_product_one_subsets`` runs it with a count cap, and
 ``subset_witness_exhaustive`` is its first hit, the lex-first witness
-that the tests compare the library's searches against.
+that the tests compare the library's searches against.  It meets in the
+middle, tabulating at most 2**16 - 1 subsets of the last indices, and
+reports the witnesses and node count of the preorder walk over every
+index subset; ``tests/test_zerosum.py`` keeps that walk as its reference.
 """
 
 from bisect import bisect_right
@@ -474,26 +477,88 @@ def prefix_run_witness(elements, modulus):
     return None
 
 
-def _product_one_walk(elements, modulus, count_cap, node_cap):
-    """Preorder walk over index subsets, indices ascending, for product 1.
+# The most indices the walk of _product_one_walk sets aside for its table,
+# so the table holds at most 2**16 - 1 subsets.
+_BLOCK_MAX = 16
 
-    Each nonempty subset with product 1 is recorded, in lexicographic
-    order, and the walk goes on below it.  Returns (status, found, nodes):
-    BUDGET_EXCEEDED once node_cap > 0 nodes were visited, else FOUND if
-    found is nonempty (the walk stops at the count_cap-th; None: no cap),
-    else NO_WITNESS.  nodes counts the visited nodes, the one past node_cap
-    included.
+
+def _mate_table(high, modulus):
+    """{v: ranks} over the nonempty subsets of ``high``, in preorder.
+
+    A subset's rank counts from 1 in the preorder walk of the subsets of
+    ``high``, indices ascending, and v is the product of its elements'
+    inverses.  The preorder of the subsets of [x_j, ..., x_h-1] is {x_j},
+    then x_j joined to each of the preorder of [x_j+1, ...], then that
+    preorder itself, so the products are built from the last element
+    back, one multiplication each.  Every element must be a unit.
+    """
+    products = []
+    for x in reversed(high):
+        x = pow(x, -1, modulus)
+        products = [x, *[x * v % modulus for v in products], *products]
+    table = {}
+    for rank, v in enumerate(products, 1):
+        table.setdefault(v, []).append(rank)
+    return table
+
+
+def _block_subset(rank, h, first):
+    """The nonempty subset of range(first, first + h) at preorder rank
+    ``rank``, from 1: index first + j heads a subtree of 2**(h - 1 - j)
+    subsets, which the rank either skips or enters."""
+    picked = []
+    j = 0
+    while rank:
+        size = 1 << (h - 1 - j)
+        if rank > size:
+            rank -= size
+        else:
+            picked.append(first + j)
+            rank -= 1
+        j += 1
+    return tuple(picked)
+
+
+def _product_one_walk(elements, modulus, count_cap, node_cap):
+    """Every index subset with product 1, in lexicographic order.
+
+    The walk meets in the middle, and reports what the preorder walk over
+    all 2**n - 1 nonempty index subsets, indices ascending, would: each
+    subset with product 1 is recorded, in lexicographic order, and the walk
+    goes on below it.  Returns (status, found, nodes): BUDGET_EXCEEDED once
+    that walk would pass node_cap > 0 subsets, else FOUND if found is
+    nonempty (the walk stops at the count_cap-th; None: no cap), else
+    NO_WITNESS.  nodes counts the subsets that walk passes, the one past
+    node_cap included.
+
+    The last h = min(ceil(n/2), 16, node_cap.bit_length()) indices are set
+    aside, and ``_mate_table`` tabulates the inverse products of their
+    nonempty subsets, so the table never holds more than 2**16 - 1 subsets
+    nor about twice the budget.  The first n - h indices are walked in
+    preorder.  A low subset T is recorded when it is entered, if its
+    product p is 1.  In the full walk, once T's low subtree is done, T
+    joined to each of the 2**h - 1 high subsets follows in their preorder,
+    and T + H has product 1 exactly when H's inverse product is p: those
+    mates are recorded in rank order, and the count jumps over the block.
+    The empty T comes last, with p = 1.  Every element must be a unit mod
+    modulus, and node_cap must not be negative.
     """
     n = len(elements)
     reduced = [e % modulus for e in elements]
     one = 1 % modulus
+    h = min((n + 1) // 2, _BLOCK_MAX)
+    if node_cap:
+        h = min(h, node_cap.bit_length())
+    low = n - h
+    block = (1 << h) - 1
+    table = _mate_table(reduced[low:], modulus)
     found = []
     path = []
     prods = [one]
     i = 0
     nodes = 0
     while True:
-        if i < n:
+        if i < low:
             nodes += 1
             if node_cap and nodes > node_cap:
                 return BUDGET_EXCEEDED, found, nodes
@@ -505,23 +570,34 @@ def _product_one_walk(elements, modulus, count_cap, node_cap):
                 if len(found) == count_cap:
                     return FOUND, found, nodes
             i += 1
-        else:
-            if not path:
-                return (FOUND if found else NO_WITNESS), found, nodes
-            i = path.pop() + 1
-            prods.pop()
+            continue
+        for rank in table.get(prods[-1], ()):
+            if node_cap and nodes + rank > node_cap:
+                return BUDGET_EXCEEDED, found, node_cap + 1
+            found.append(tuple(path) + _block_subset(rank, h, low))
+            if len(found) == count_cap:
+                return FOUND, found, nodes + rank
+        nodes += block
+        if node_cap and nodes > node_cap:
+            return BUDGET_EXCEEDED, found, node_cap + 1
+        if not path:
+            return (FOUND if found else NO_WITNESS), found, nodes
+        i = path.pop() + 1
+        prods.pop()
 
 
 # The library never calls this one: the tests compare its searches against
 # it, and perfbench/tracing.py wraps it by name, so a traced benchmark run
 # needs it defined here.
 def subset_witness_exhaustive(elements, modulus, node_cap):
-    """Depth-first search, indices ascending, for a subset with product 1.
+    """The lexicographically first index subset with product 1.
 
-    Returns (FOUND, indices) for the first witness in preorder (equivalently
-    the lexicographically smallest index tuple), (NO_WITNESS, None) after a
-    complete traversal, or (BUDGET_EXCEEDED, None) once node_cap > 0 nodes
-    were visited.  It is the first hit of ``_product_one_walk``.
+    Returns (FOUND, indices) for the first witness in the preorder walk
+    over the index subsets, indices ascending (equivalently the
+    lexicographically smallest index tuple), (NO_WITNESS, None) when there
+    is none, or (BUDGET_EXCEEDED, None) once that walk would pass
+    node_cap > 0 subsets.  It is the first hit of ``_product_one_walk``,
+    which meets in the middle, so every element must be a unit mod modulus.
     """
     status, found, _ = _product_one_walk(elements, modulus, 1, node_cap)
     return status, (found[0] if status == FOUND else None)

@@ -11,9 +11,12 @@ A cheap prefix-product pigeonhole pass runs first in every case; on random
 input it settles most queries immediately.  Every witness either strategy
 returns is re-verified by a direct modular product before reaching the
 caller.  Repeated elements are distinct by index (sequence semantics).
-``enumerate_product_one_subsets`` lists every witness with the preorder
-walk ``pure._product_one_walk``.  No strategy factors M; the CRT
-decomposition and discrete logs below describe the group for
+``enumerate_product_one_subsets`` lists every witness in lexicographic
+order with ``pure._product_one_walk``, which meets in the middle: it
+tabulates the subsets of the last indices, at most 2**16 - 1 of them, and
+walks the subsets of the first.  Its ``node_cap`` still counts the subsets
+that the lexicographic walk over all of them passes.  No strategy factors
+M; the CRT decomposition and discrete logs below describe the group for
 ``carmik davenport``.
 """
 
@@ -345,16 +348,23 @@ def enumerate_product_one_subsets(
     """All nonempty product-one index subsets.
 
     Enumeration order is lexicographic on the index tuples and the result
-    is truncated at count_cap (None: no cap).  node_cap bounds the number of
-    search nodes; hitting it before the enumeration finished raises
-    SearchExhaustedError rather than silently returning a partial answer.
-    The walk is ``pure._product_one_walk``, whose first hit is
-    ``pure.subset_witness_exhaustive``.
+    is truncated at count_cap (None: no cap).  node_cap (None or 0: no cap)
+    bounds the index subsets that the lexicographic walk over all 2**n - 1
+    of them passes, the witnesses and the subsets between them; hitting it
+    before the enumeration finished raises SearchExhaustedError rather than
+    silently returning a partial answer.  The walk is
+    ``pure._product_one_walk``, whose first hit is
+    ``pure.subset_witness_exhaustive``.  It meets in the middle: without a
+    cap it computes 2**h - 1 + 2**(n - h) - 1 subset products, h =
+    min(ceil(n/2), 16), and its memory is bounded by its table of the at
+    most 2**16 - 1 subsets of the last h indices.
     """
     m = int(modulus)
     reduced = _validate_units(list(elements), m)
     if count_cap is not None and count_cap < 1:
         raise DomainError("count_cap must be >= 1")
+    if node_cap is not None and node_cap < 0:
+        raise DomainError("node_cap must be >= 0")
     status, found, nodes = pure._product_one_walk(reduced, m, count_cap, node_cap)
     if status == pure.BUDGET_EXCEEDED:
         raise SearchExhaustedError("enumeration budget exhausted", nodes=nodes, found=len(found))

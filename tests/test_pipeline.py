@@ -178,6 +178,16 @@ class TestZeroSumStage:
             pipeline.complete_batch(instance, rc)
         assert "no product-one subset" in str(exc.value)
 
+    def test_forced_search_of_a_long_family_runs_out_of_nodes(self):
+        # 2 has order 61 mod the prime 2**61 - 1, so no subset of 24 twos
+        # has product 1, and the 2**24 - 1 subsets outrun the node budget.
+        modulus = arith.FactoredInteger.of(2**61 - 1)
+        with pytest.raises(StageError) as exc:
+            pipeline._family_witnesses([(2, 1)] * 24, modulus, True, 1)
+        assert exc.value.stage == "zero-sum-1"
+        assert "search budget exhausted" in str(exc.value)
+        assert exc.value.data == dict(nodes=pipeline._NODE_CAP + 1, found=0)
+
     def test_config_must_match_the_instance(self):
         rc = pipeline.parse_config(BASE_CONFIG)
         instance = pipeline.harvest_instance(rc.construction)

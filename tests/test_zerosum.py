@@ -232,6 +232,18 @@ class TestEnumerate:
         with pytest.raises(SearchExhaustedError):
             zerosum.enumerate_product_one_subsets([2] * 12, 13, node_cap=5)
 
+    def test_node_cap_must_not_be_negative(self):
+        for cap in (-1, -5):
+            with pytest.raises(DomainError, match="node_cap"):
+                zerosum.enumerate_product_one_subsets([4, 4, 2, 3], 5, node_cap=cap)
+        ws = zerosum.enumerate_product_one_subsets([4, 4, 2, 3], 5, node_cap=0)
+        assert [w.indices for w in ws] == [(0, 1), (0, 1, 2, 3), (2, 3)]
+
+    def test_no_cap_on_24_units_without_a_witness(self):
+        # 2 has order 61 mod 2**61 - 1, so none of the 2**24 - 1 subsets
+        # has product 1; meeting in the middle computes 2 * 4095 products.
+        assert zerosum.enumerate_product_one_subsets([2] * 24, 2**61 - 1) == []
+
 
 def reference_exhaustive(elements, modulus, node_cap):
     """pure.subset_witness_exhaustive as it was before it shared its walk."""
@@ -338,6 +350,83 @@ class TestProductOneWalk:
         assert enumerate_outcome(zerosum.enumerate_product_one_subsets, *args) == enumerate_outcome(
             reference_enumerate, *args
         )
+
+
+def preorder_rank(indices, n):
+    """Position, from 1, of an index tuple in the preorder walk over the
+    nonempty subsets of range(n): each index j passed over takes its
+    subtree of 2**(n - 1 - j) subsets with it."""
+    rank = 0
+    j = 0
+    for i in indices:
+        rank += sum(2 ** (n - 1 - s) for s in range(j, i)) + 1
+        j = i + 1
+    return rank
+
+
+class TestProductOneWalkSplit:
+    """The walk meets in the middle: it walks the subsets of the first
+    n - h indices and looks each product up in a table of the subsets of
+    the last h = min(ceil(n/2), 16, node_cap.bit_length()), while keeping
+    the preorder walk's order and node count."""
+
+    def test_preorder_rank(self):
+        subsets = [c for size in range(1, 6) for c in itertools.combinations(range(5), size)]
+        assert [preorder_rank(c, 5) for c in sorted(subsets)] == list(range(1, 32))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_long_low_walks_match_the_reference(self, seed):
+        # 33 to 40 units: from node_cap = 2**15 on, h is 16 and the walk
+        # of the first n - 16 indices is longer than the table's.
+        rng = random.Random(seed)
+        n = rng.randrange(33, 41)
+        m = (7, 13, 105, 221)[seed]
+        units = random_units(rng, m, n)
+        caps = (1, 2, 17, 4095, 32_768, 100_000, rng.randrange(1, 100_001))
+        for node_cap in caps:
+            for count_cap in (None, rng.randrange(1, 300)):
+                args = (units, m, count_cap, node_cap)
+                assert enumerate_outcome(
+                    zerosum.enumerate_product_one_subsets, *args
+                ) == enumerate_outcome(reference_enumerate, *args), (seed, node_cap, count_cap)
+
+    @pytest.mark.parametrize(
+        "n, where",
+        [
+            (16, (2, 10, 13)),  # h = 8: (2,) meets (10, 13)
+            (20, tuple(range(12)) + (14, 18)),  # h = 8 by the budget's 8 bits
+        ],
+    )
+    def test_budget_at_a_mated_witness(self, n, where):
+        m = 2**61 - 1
+        rng = random.Random(n)
+        units = [rng.randrange(2, m) for _ in range(n)]
+        units[where[-1]] = pow(math.prod(units[i] for i in where[:-1]), -1, m)
+        rank = preorder_rank(where, n)
+        for node_cap, found in ((rank, 1), (rank - 1, 0)):
+            args = (units, m, None, node_cap)
+            outcome = enumerate_outcome(zerosum.enumerate_product_one_subsets, *args)
+            assert outcome == enumerate_outcome(reference_enumerate, *args)
+            assert outcome[2] == dict(nodes=node_cap + 1, found=found)
+        assert pure._product_one_walk(units, m, 1, rank) == (pure.FOUND, [where], rank)
+
+    @pytest.mark.parametrize("m", (7, 13, 31))
+    def test_count_cap_inside_a_block(self, m):
+        # 14 units, h = 7: the mates of a subset of indices 0..6 among the
+        # subsets of 7..13 follow its low subtree, and a count cap may stop
+        # the walk between two of them.
+        rng = random.Random(m)
+        units = random_units(rng, m, 14)
+        every = [w.indices for w in reference_enumerate(units, m)]
+        mated = [k for k, w in enumerate(every) if w[0] < 7 <= w[-1]]
+        assert len(mated) >= 5
+        for k in mated[:20]:
+            args = (units, m, k + 1, None)
+            assert enumerate_outcome(
+                zerosum.enumerate_product_one_subsets, *args
+            ) == enumerate_outcome(reference_enumerate, *args)
+            rank = preorder_rank(every[k], 14)
+            assert pure._product_one_walk(*args) == (pure.FOUND, every[: k + 1], rank)
 
 
 @st.composite
