@@ -6,9 +6,11 @@ Each row times one workload of a kernel in ``carmik._kernels.pure``, best
 of N runs, and checks its value against an answer found another way: the
 census counts against OEIS A055553, the prime counts against
 ``sympy.isprime`` (found once and written here), the planted subsets
-against their positions, and every other row against a plain
-recomputation, untimed.  The semiprime row runs through
-``arith.factorize``, the library's one Brent driver.  The results go to
+against their positions, the long lists in small groups against the sums
+of their exponents, and every other row against a plain recomputation,
+untimed.  The semiprime row runs through ``arith.factorize``, the
+library's one Brent driver, and the long-list row through
+``zerosum.find_product_one_subsequence``.  The results go to
 BENCH_kernels.json beside this script.
 """
 
@@ -23,7 +25,7 @@ import time
 from pathlib import Path
 
 from bench_harvest import commit
-from carmik import arith, construction, pipeline
+from carmik import arith, construction, pipeline, zerosum
 from carmik._kernels import pure
 
 # Carmichael numbers up to 10^7 .. 10^10 (OEIS A055553).
@@ -118,6 +120,24 @@ def workloads():
         units[where[-1]] = pow(math.prod(units[i] for i in where[:-1]), -1, m260)
         planted12.append((units, tuple(where)))
 
+    # Long lists in small groups, the regime past 45 elements: 40 lists of
+    # 60 to 80 powers g**e, e in 1..3, of a primitive root g mod a prime
+    # p < 500, with the exponents summing below p - 1.  Every nonempty
+    # subset's exponent sum then lies strictly between 0 and p - 1, so no
+    # subset has product 1 and the search covers every reachable product.
+    small_primes = pure.primes_in_range(250, 500)
+    long_lists = []
+    while len(long_lists) < 40:
+        p = rng.choice(small_primes)
+        g = next(g for g in range(2, p)
+                 if all(pow(g, (p - 1) // q, p) != 1 for q in arith.factorize(p - 1).primes))
+        exps = [rng.randint(1, 3) for _ in range(rng.randint(60, 80))]
+        if sum(exps) < p - 1:
+            long_lists.append(([pow(g, e, p) for e in exps], p))
+
+    def check_long(results):
+        assert results == [None] * len(long_lists)
+
     def check_planted(results):
         assert [w for _, w in planted] == [witness for _, witness in results]
         assert all(status == pure.FOUND and math.prod(units[i] for i in w) % m260 == 1
@@ -167,6 +187,9 @@ def workloads():
            lambda: [pure.subset_witness_mitm(e, 105, 0) for e in stress], check_witnesses)
     yield (f"subset mitm x {len(planted)}, 18 units mod a {m260.bit_length()}-bit M",
            lambda: [pure.subset_witness_mitm(u, m260, 0) for u, _ in planted], check_planted)
+    yield (f"find x {len(long_lists)}, 60-80 units mod p < 500",
+           lambda: [zerosum.find_product_one_subsequence(u, p) for u, p in long_lists],
+           check_long)
     yield (f"product-one walk x {len(planted12)}, 12 units mod the M",
            lambda: [pure._product_one_walk(u, m260, None, 0) for u, _ in planted12],
            check_enumerated)

@@ -19,6 +19,10 @@ that the tests compare the library's searches against.  It meets in the
 middle, tabulating at most 2**16 - 1 subsets of the last indices, and
 reports the witnesses and node count of the preorder walk over every
 index subset; ``tests/test_zerosum.py`` keeps that walk as its reference.
+``zerosum.find_product_one_subsequence`` needs one witness, not the
+lex-first one, so its search, ``subset_witness_mitm``, keeps each half's
+distinct subset products rather than its subsets, and the same search
+serves short lists and long lists in a small group.
 """
 
 from bisect import bisect_right
@@ -606,66 +610,77 @@ def subset_witness_exhaustive(elements, modulus, node_cap):
 def subset_witness_mitm(elements, modulus, table_cap):
     """Meet-in-the-middle search for a subset with product 1 mod modulus.
 
-    Subset products of the low half are tabulated, then subsets of the high
-    half are matched against them: the inverse of a high-half product is
-    the product of the inverses of its elements, so those are inverted
-    once, and the walk multiplies them and looks each product up.
-    Deterministic: both enumerations run in the same preorder as
-    subset_witness_exhaustive, and the first match wins.  Requires every
-    element to be a unit mod modulus.
+    Each half keeps its distinct subset products, not its subsets.  Its
+    table maps a product to the index at which it was first reached, built
+    one element at a time, so a half holds at most min(2**size - 1,
+    reachable products) entries.  The low half, the first n // 2 elements,
+    tabulates its products; the high half tabulates the products of its
+    elements' inverses, which are inverted once, and looks each up in the
+    low table: a low product p and a high inverse product p make a subset
+    with product 1.  A low product of 1, or a high inverse product of 1,
+    is a witness on its own.  The last element's products are looked up,
+    never stored, so a collision-free list of 2*s + 1 elements keeps
+    2**s - 1 entries per side.  Every element must be a unit mod modulus.
 
-    Returns the same (status, witness) protocol as the exhaustive search;
-    the budget bounds the table size.
+    Returns (FOUND, indices), indices ascending, with each half's part the
+    first of its subsets to reach its product; (NO_WITNESS, None); or
+    (BUDGET_EXCEEDED, None) once a table holds more than table_cap > 0
+    products after an element that completed no witness.
     """
     n = len(elements)
     reduced = [e % modulus for e in elements]
     one = 1 % modulus
     half = n // 2
-    table = {}
 
-    # Tabulate low-half subset products, keeping the first (lex-least)
-    # subset per value. A product of 1 is a witness outright.
-    path = []
-    prods = [one]
-    i = 0
-    while True:
-        if i < half:
-            p = prods[-1] * reduced[i] % modulus
-            path.append(i)
-            prods.append(p)
-            if p == one:
-                return FOUND, tuple(path)
-            if p not in table:
-                if table_cap and len(table) >= table_cap:
-                    return BUDGET_EXCEEDED, None
-                table[p] = tuple(path)
-            i += 1
-        else:
-            if not path:
-                break
-            i = path.pop() + 1
-            prods.pop()
+    def inverse(i):
+        return pow(reduced[i], -1, modulus)
 
-    # Walk high-half subsets by the product of their inverses, which is 1
-    # exactly when the subset's product is: match it against the table,
-    # and catch high-half-only witnesses directly.
-    inverses = [pow(e, -1, modulus) for e in reduced[half:]]
-    path = []
-    prods = [one]
-    i = half
-    while True:
-        if i < n:
-            p = prods[-1] * inverses[i - half] % modulus
-            path.append(i)
-            prods.append(p)
-            if p == one:
-                return FOUND, tuple(path)
-            mate = table.get(p)
-            if mate is not None:
-                return FOUND, mate + tuple(path)
-            i += 1
-        else:
-            if not path:
-                return NO_WITNESS, None
-            i = path.pop() + 1
-            prods.pop()
+    low = {}
+    for i in range(half):
+        x = reduced[i]
+        fresh = [p * x % modulus for p in low]
+        fresh.append(x)
+        if one in fresh:
+            return FOUND, _first_subset(low, inverse(i), modulus, inverse) + (i,)
+        low = _tabulated(low, fresh, i)
+        if table_cap and len(low) > table_cap:
+            return BUDGET_EXCEEDED, None
+    low[one] = None  # the empty low subset, the mate of a high witness
+
+    high = {}
+    for i in range(half, n):
+        y = inverse(i)
+        fresh = [v * y % modulus for v in high]
+        fresh.append(y)
+        if not low.keys().isdisjoint(fresh):
+            v = next(v for v in fresh if v in low)
+            mate = _first_subset(low, v, modulus, inverse)
+            rest = _first_subset(high, v * reduced[i] % modulus, modulus, reduced.__getitem__)
+            return FOUND, mate + rest + (i,)
+        if i < n - 1:
+            high = _tabulated(high, fresh, i)
+            if table_cap and len(high) > table_cap:
+                return BUDGET_EXCEEDED, None
+    return NO_WITNESS, None
+
+
+def _tabulated(table, fresh, i):
+    """table with each product of fresh it lacks, mapped to index i."""
+    grown = dict.fromkeys(fresh, i)
+    grown.update(table)
+    return grown
+
+
+def _first_subset(table, p, modulus, undo):
+    """The indices, ascending, of the first subset to reach product p.
+
+    table[p] is the index at which p was first reached, and multiplying
+    by undo(i) takes element i back out, down to the empty product 1.
+    """
+    one = 1 % modulus
+    picked = []
+    while p != one:
+        i = table[p]
+        picked.append(i)
+        p = p * undo(i) % modulus
+    return tuple(reversed(picked))

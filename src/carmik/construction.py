@@ -417,9 +417,7 @@ def search_P(
     ll = l_own.value * l_other.value
     if k1 is not None and math.gcd(k1, nu * ll) != 1:
         raise DomainError("supplied k1 is not coprime to nu*L1*L2")
-    divisors = sorted(
-        math.prod(c) for c in combinations(l_own.primes, omega_d)
-    )
+    divisors = enumerate_g(l_own, omega_d)
     if not divisors:
         raise SearchExhaustedError(
             f"no divisor of {l_own.value} has {omega_d} prime factors",

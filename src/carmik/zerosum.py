@@ -1,23 +1,22 @@
 """Subset-product-to-identity search in (Z/MZ)^*.
 
-Two strategies, picked by sequence length when ``strategy="auto"``:
+``find_product_one_subsequence`` runs one search at every length.  A
+cheap prefix-product pigeonhole pass comes first; on random input it
+settles most queries immediately.  Then ``pure.subset_witness_mitm``
+meets in the middle over the distinct subset products of each half, so a
+half holds at most min(2**size - 1, reachable products) entries: short
+lists and long lists in a small group go through the same search, under
+one budget, ``_TABLE_CAP``.  Every witness is re-verified by a direct
+modular product before reaching the caller.  Repeated elements are
+distinct by index (sequence semantics).
 
-* ``mitm``  — meet-in-the-middle on two halves (up to ``MITM_MAX``
-  elements), ``pure.subset_witness_mitm`` for every modulus,
-* ``reach`` — reachability over the subset products themselves, keeping
-  the first index tuple that reaches each product mod M.
-
-A cheap prefix-product pigeonhole pass runs first in every case; on random
-input it settles most queries immediately.  Every witness either strategy
-returns is re-verified by a direct modular product before reaching the
-caller.  Repeated elements are distinct by index (sequence semantics).
 ``enumerate_product_one_subsets`` lists every witness in lexicographic
 order with ``pure._product_one_walk``, which meets in the middle: it
 tabulates the subsets of the last indices, at most 2**16 - 1 of them, and
 walks the subsets of the first.  Its ``node_cap`` still counts the subsets
-that the lexicographic walk over all of them passes.  No strategy factors
-M; the CRT decomposition and discrete logs below describe the group for
-``carmik davenport``.
+that the lexicographic walk over all of them passes.  Neither search
+factors M; the CRT decomposition and discrete logs below describe the
+group for ``carmik davenport``.
 """
 
 from __future__ import annotations
@@ -40,15 +39,10 @@ __all__ = [
     "enumerate_product_one_subsets",
 ]
 
-# Budgets of find_product_one_subsequence, read at call time: table entries
-# of meet-in-the-middle and reached products of the reachability walk.
+# Budget of find_product_one_subsequence, read at call time: the distinct
+# products each half of the search may hold.  At 2**22 a collision-free
+# list of 45 elements still fits, 2**22 - 1 products per half.
 _TABLE_CAP = 4_194_304
-_STATE_CAP = 2_000_000
-
-# The most elements "auto" meets in the middle: the low half of n elements
-# has 2**(n // 2) - 1 nonempty subsets, and their table must fit the cap,
-# so 45 at 2**22; past that the reachability walk answers.
-MITM_MAX = 2 * ((_TABLE_CAP + 1).bit_length() - 1) + 1
 
 
 @dataclass(frozen=True)
@@ -224,17 +218,21 @@ def discrete_log_vector(structure: UnitGroupStructure, x: int) -> tuple[int, ...
     return tuple(coords)
 
 
+def _lambda_phi(m: int | arith.FactoredInteger) -> tuple[int, int]:
+    """(lambda(M), phi(M)) for the length bound, which needs M >= 2."""
+    fi = arith.FactoredInteger.of(m)
+    if fi.value < 2:
+        raise DomainError("bound needs m >= 2")
+    return arith.carmichael_lambda(fi), arith.euler_phi(fi)
+
+
 def davenport_upper_bound(m: int | arith.FactoredInteger) -> float:
     """lambda(M) * (1 + ln(phi(M) / lambda(M))); natural log.
 
     An upper bound on the least length forcing a product-one subsequence in
     any unit sequence mod M.  Returns inf when the value overflows a float.
     """
-    fi = arith.FactoredInteger.of(m)
-    if fi.value < 2:
-        raise DomainError("bound needs m >= 2")
-    lam = arith.carmichael_lambda(fi)
-    phi = arith.euler_phi(fi)
+    lam, phi = _lambda_phi(m)
     log_ratio = math.log(phi) - math.log(lam)
     try:
         return lam * (1.0 + log_ratio)
@@ -244,9 +242,7 @@ def davenport_upper_bound(m: int | arith.FactoredInteger) -> float:
 
 def davenport_upper_bound_log(m: int | arith.FactoredInteger) -> float:
     """Natural log of the bound; finite even when the bound itself is not."""
-    fi = arith.FactoredInteger.of(m)
-    lam = arith.carmichael_lambda(fi)
-    phi = arith.euler_phi(fi)
+    lam, phi = _lambda_phi(m)
     return math.log(lam) + math.log1p(math.log(phi) - math.log(lam))
 
 
@@ -261,37 +257,6 @@ def _validate_units(elements, m: int) -> list[int]:
     return reduced
 
 
-def _reach_walk(elements: list[int], m: int, state_cap: int):
-    """Reachability over the subset products mod m.
-
-    Processes elements in index order, keeping the first index tuple that
-    reaches each product; complete for existence as long as the state
-    table stays within state_cap.
-    """
-    one = 1 % m
-    states: dict[int, tuple[int, ...]] = {}
-    for i, x in enumerate(elements):
-        if x == one:
-            return (i,)
-        additions = []
-        for state, picked in states.items():
-            new = state * x % m
-            if new == one:
-                return picked + (i,)
-            if new not in states:
-                additions.append((new, picked + (i,)))
-        for new, picked in additions:
-            states.setdefault(new, picked)
-        states.setdefault(x, (i,))
-        if len(states) > state_cap:
-            raise SearchExhaustedError(
-                "state table exceeded its cap during the reachability walk",
-                states=len(states),
-                cap=state_cap,
-            )
-    return None
-
-
 def find_product_one_subsequence(
     elements,
     modulus: int | arith.FactoredInteger,
@@ -299,12 +264,16 @@ def find_product_one_subsequence(
 ) -> ZeroSumWitness | None:
     """A nonempty index subset whose product is 1 mod modulus, or None.
 
-    Every element must be a unit mod modulus.  None means the search space
-    was covered completely without finding a witness; a blown budget
-    (``_TABLE_CAP`` or ``_STATE_CAP``, by strategy) raises
-    SearchExhaustedError instead of guessing.
+    Every element must be a unit mod modulus.  After the prefix pass, one
+    search answers at every length: ``pure.subset_witness_mitm``, which
+    meets in the middle over each half's distinct subset products, and
+    whose witness is the first subset of each half to reach its product.
+    None means the search space was covered completely without finding a
+    witness; a half holding more than ``_TABLE_CAP`` products raises
+    SearchExhaustedError instead of guessing.  ``strategy`` is "auto" or
+    "mitm", which run that same search.
     """
-    if strategy not in ("auto", "mitm", "reach"):
+    if strategy not in ("auto", "mitm"):
         raise DomainError(f"unknown strategy {strategy!r}")
     m = int(modulus)
     reduced = _validate_units(list(elements), m)
@@ -315,28 +284,23 @@ def find_product_one_subsequence(
     if run is not None:
         return _checked(run, reduced, m)
 
-    if strategy == "reach" or (strategy == "auto" and len(reduced) > MITM_MAX):
-        witness = _reach_walk(reduced, m, _STATE_CAP)
-    else:
-        status, witness = pure.subset_witness_mitm(reduced, m, _TABLE_CAP)
-        if status == pure.BUDGET_EXCEEDED:
-            raise SearchExhaustedError(
-                f"mitm search budget exhausted on {len(reduced)} elements",
-                strategy="mitm",
-                elements=len(reduced),
-            )
+    status, witness = pure.subset_witness_mitm(reduced, m, _TABLE_CAP)
+    if status == pure.BUDGET_EXCEEDED:
+        raise SearchExhaustedError(
+            f"subset-product search budget exhausted on {len(reduced)} elements",
+            elements=len(reduced),
+            cap=_TABLE_CAP,
+        )
     if witness is None:
         return None
     return _checked(witness, reduced, m)
 
 
 def _checked(indices, reduced, m) -> ZeroSumWitness:
-    prod = 1
-    for i in indices:
-        prod = prod * reduced[i] % m
-    if prod != 1 % m or not indices:
+    witness = ZeroSumWitness(indices=tuple(indices))
+    if not witness.verify(reduced, m):
         raise InternalConsistencyError(f"solver returned an invalid witness {indices}")
-    return ZeroSumWitness(indices=tuple(indices))
+    return witness
 
 
 def enumerate_product_one_subsets(

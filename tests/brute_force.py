@@ -7,8 +7,7 @@ against that scan, and against ``walk_census``, the linear walk over
 n == P (mod P(P - 1)) from each largest prime P, at limits too large for
 the table.  ``search_P`` is the family search that tests every
 candidate with ``sympy.isprime`` and counts, by trial division, the
-candidates that the sieve leaves.  ``subset_witness_mitm`` is the
-meet-in-the-middle walk that inverts each high-half product.
+candidates that the sieve leaves.
 """
 
 from itertools import combinations
@@ -16,7 +15,7 @@ from math import gcd, isqrt, prod
 
 import sympy
 
-from carmik._kernels.pure import BUDGET_EXCEEDED, FOUND, NO_WITNESS, primes_in_range
+from carmik._kernels.pure import primes_in_range
 from carmik.construction import _SIEVE_BOUND
 from carmik.errors import DomainError, SearchExhaustedError
 
@@ -179,51 +178,3 @@ def search_P(l_own, l_other, nu, omega_d, k_cap, min_count, k1=None):
         )
     return best
 
-
-def subset_witness_mitm(elements, modulus, table_cap):
-    """pure.subset_witness_mitm as it was before it inverted the high half
-    once: one modular inverse per node of the high-half walk."""
-    n = len(elements)
-    reduced = [e % modulus for e in elements]
-    one = 1 % modulus
-    half = n // 2
-    table = {}
-    path = []
-    prods = [one]
-    i = 0
-    while True:
-        if i < half:
-            p = prods[-1] * reduced[i] % modulus
-            path.append(i)
-            prods.append(p)
-            if p == one:
-                return FOUND, tuple(path)
-            if p not in table:
-                if table_cap and len(table) >= table_cap:
-                    return BUDGET_EXCEEDED, None
-                table[p] = tuple(path)
-            i += 1
-        else:
-            if not path:
-                break
-            i = path.pop() + 1
-            prods.pop()
-    path = []
-    prods = [one]
-    i = half
-    while True:
-        if i < n:
-            p = prods[-1] * reduced[i] % modulus
-            path.append(i)
-            prods.append(p)
-            if p == one:
-                return FOUND, tuple(path)
-            mate = table.get(pow(p, -1, modulus))
-            if mate is not None:
-                return FOUND, mate + tuple(path)
-            i += 1
-        else:
-            if not path:
-                return NO_WITNESS, None
-            i = path.pop() + 1
-            prods.pop()

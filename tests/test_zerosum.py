@@ -2,7 +2,6 @@ import itertools
 import math
 import random
 
-import brute_force
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -92,6 +91,11 @@ class TestDavenportBound:
                 math.log(zerosum.davenport_upper_bound(m))
             )
 
+    def test_both_forms_need_m_at_least_2(self):
+        for bound in (zerosum.davenport_upper_bound, zerosum.davenport_upper_bound_log):
+            with pytest.raises(DomainError, match="bound needs m >= 2"):
+                bound(1)
+
 
 class TestFind:
     def test_examples_mod_5(self):
@@ -110,7 +114,7 @@ class TestFind:
 
     def test_unknown_strategy_rejected_before_any_search(self):
         # The prefix pass alone would find (0, 1) here.
-        for strategy in ("bogus", "exhaustive"):
+        for strategy in ("bogus", "exhaustive", "reach"):
             with pytest.raises(DomainError, match=f"unknown strategy '{strategy}'"):
                 zerosum.find_product_one_subsequence([2, 3], 5, strategy=strategy)
 
@@ -123,15 +127,15 @@ class TestFind:
         monkeypatch.setattr(pure, "subset_witness_exhaustive", walk)
         assert zerosum.find_product_one_subsequence([2] * 24, 2**61 - 1) is None
 
-    def test_reach_walks_products_past_the_factoring_cap(self):
+    def test_search_needs_no_factorization(self):
         # A 90-digit modulus cannot be factored under the 64-digit cap, and
-        # the walk needs no factorization.  2 * 2**-1 is no contiguous run,
-        # so the prefix pass leaves the answer to the walk.
+        # the search needs no factorization.  2 * 2**-1 is no contiguous
+        # run, so the prefix pass leaves the answer to the search.
         m = 10**89 + 1
         with pytest.raises(FactorizationEffortError):
             arith.factorize(m)
         elems = [2, 3, pow(2, -1, m)]
-        w = zerosum.find_product_one_subsequence(elems, m, strategy="reach")
+        w = zerosum.find_product_one_subsequence(elems, m)
         assert w.indices == (0, 2) and w.verify(elems, m)
 
     def test_every_returned_witness_verifies(self):
@@ -152,21 +156,28 @@ class TestFind:
         with pytest.raises(SearchExhaustedError):
             zerosum.find_product_one_subsequence(elems, 11)
 
-    def test_auto_meets_in_the_middle_only_where_the_table_fits(self):
-        half = zerosum.MITM_MAX // 2
-        assert 2**half - 1 <= zerosum._TABLE_CAP < 2 ** ((zerosum.MITM_MAX + 1) // 2) - 1
+    def test_a_collision_free_45_list_fits_the_table(self):
+        # The low half of 45 elements is 22 of them, and the high half
+        # stores the products of all but its last, 22 more: 2**22 - 1
+        # products each.  One more element puts 23 in the low half.
+        for n in (45, 46):
+            low = n // 2
+            stored = n - low - 1
+            assert 2**stored - 1 <= zerosum._TABLE_CAP
+            assert (2**low - 1 <= zerosum._TABLE_CAP) == (n == 45)
 
-    def test_auto_past_mitm_max_answers_by_reach(self, monkeypatch):
+    def test_46_twos_mod_53_have_no_witness(self, monkeypatch):
         # 2 has order 52 mod 53: no subset of 46 twos has product 1, and the
-        # prefix pass cannot say so, so the search past it must.
-        def refuse(*args):
-            raise AssertionError("meet-in-the-middle called")
-
-        monkeypatch.setattr(pure, "subset_witness_mitm", refuse)
-        assert zerosum.MITM_MAX == 45
+        # prefix pass cannot say so, so the search must.  The low half's 23
+        # twos reach 23 distinct products, which a cap of 23 still holds.
         assert zerosum.find_product_one_subsequence([2] * 46, 53) is None
+        monkeypatch.setattr(zerosum, "_TABLE_CAP", 23)
+        assert zerosum.find_product_one_subsequence([2] * 46, 53) is None
+        monkeypatch.setattr(zerosum, "_TABLE_CAP", 22)
+        with pytest.raises(SearchExhaustedError):
+            zerosum.find_product_one_subsequence([2] * 46, 53)
 
-    @pytest.mark.parametrize("strategy, cap", [("mitm", "_TABLE_CAP"), ("reach", "_STATE_CAP")])
+    @pytest.mark.parametrize("strategy, cap", [("mitm", "_TABLE_CAP"), ("auto", "_TABLE_CAP")])
     def test_each_strategy_reads_its_budget_at_call_time(self, monkeypatch, strategy, cap):
         elems = [2] * 9
         assert zerosum.find_product_one_subsequence(elems, 11, strategy=strategy) is None
@@ -185,7 +196,7 @@ class TestFind:
             if pure.prefix_run_witness(reduced, m) is None:
                 hard += 1
             _, lex_first = pure.subset_witness_exhaustive(reduced, m, 0)
-            for strategy in ("auto", "mitm", "reach"):
+            for strategy in ("auto", "mitm"):
                 w = zerosum.find_product_one_subsequence(elems, m, strategy=strategy)
                 assert (w is not None) == (lex_first is not None), (m, elems, strategy)
                 if w is not None:
@@ -433,7 +444,7 @@ class TestProductOneWalkSplit:
 def mitm_cases(draw):
     """(units, m, table_cap): m = 1, 2, 105 or about 2**260, up to 20 units,
     often with a planted product-one subset, and a table cap that a full
-    low half of a large m overflows."""
+    half of a large m overflows."""
     m = draw(st.sampled_from((1, 2, 105)) | st.integers(2**259, 2**260))
     units = []
     for a in draw(st.lists(st.integers(1, 2**261), max_size=20)):
@@ -447,11 +458,92 @@ def mitm_cases(draw):
     return units, m, draw(st.just(0) | st.integers(1, 64))
 
 
+def mitm_status(units, m, table_cap):
+    """The status of pure.subset_witness_mitm, from sets of subset products.
+
+    The low half's products grow one element at a time, and the high
+    half's products of inverses the same way, up to its last element; a
+    half passing table_cap > 0 after an element that completed no witness
+    exhausts the budget.
+    """
+    reduced = [u % m for u in units]
+    one = 1 % m
+    half = len(reduced) // 2
+    low = set()
+    for x in reduced[:half]:
+        low |= {p * x % m for p in low} | {x}
+        if one in low:
+            return pure.FOUND
+        if table_cap and len(low) > table_cap:
+            return pure.BUDGET_EXCEEDED
+    high = set()
+    for i in range(half, len(reduced)):
+        y = pow(reduced[i], -1, m)
+        high |= {v * y % m for v in high} | {y}
+        if one in high or not low.isdisjoint(high):
+            return pure.FOUND
+        if i < len(reduced) - 1 and table_cap and len(high) > table_cap:
+            return pure.BUDGET_EXCEEDED
+    return pure.NO_WITNESS
+
+
 class TestMeetInTheMiddle:
     @settings(deadline=None, max_examples=300)
     @given(mitm_cases())
-    def test_matches_the_walk_that_inverts_every_node(self, case):
-        assert pure.subset_witness_mitm(*case) == brute_force.subset_witness_mitm(*case)
+    def test_status_witness_and_budget(self, case):
+        units, m, table_cap = case
+        status, witness = pure.subset_witness_mitm(units, m, table_cap)
+        assert status == mitm_status(units, m, table_cap)
+        if status != pure.BUDGET_EXCEEDED:
+            assert status == reference_exhaustive(units, m, 0)[0]
+        if status == pure.FOUND:
+            assert list(witness) == sorted(set(witness))
+            assert zerosum.ZeroSumWitness(witness).verify(units, m)
+        else:
+            assert witness is None
+
+
+def multiplicative_order(g, m):
+    order, x = 1, g % m
+    while x != 1 % m:
+        order, x = order + 1, x * g % m
+    return order
+
+
+@st.composite
+def long_small_group_cases(draw):
+    """(units, m): 46 to 80 units mod m <= 500, half the time each g or
+    g**2 for the drawn unit g of the largest order, which has no witness
+    when that order passes the sum of the exponents."""
+    m = draw(st.integers(2, 500))
+    units = []
+    for a in draw(st.lists(st.integers(1, m), min_size=46, max_size=80)):
+        while math.gcd(a, m) != 1:
+            a += 1
+        units.append(a)
+    if draw(st.booleans()):
+        g = max(units, key=lambda u: multiplicative_order(u, m))
+        units = [pow(g, 1 + a % 2, m) for a in units]
+    return units, m
+
+
+class TestLongListsInSmallGroups:
+    """The regime past 45 elements, where each half's distinct products,
+    at most phi(m) of them, bound the search."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(long_small_group_cases())
+    def test_existence_matches_the_set_of_reachable_products(self, case):
+        units, m = case
+        reached = set()
+        for u in units:
+            reached |= {p * u % m for p in reached} | {u % m}
+        w = zerosum.find_product_one_subsequence(units, m)
+        assert (w is not None) == (1 % m in reached)
+        if w is not None:
+            assert w.verify(units, m)
+        status, _ = pure.subset_witness_mitm(units, m, 0)
+        assert (status == pure.FOUND) == (1 % m in reached)
 
 
 class TestStressSmall:
